@@ -1,19 +1,19 @@
 """Replicated Monte-Carlo engine for validating the analytic results.
 
-Every replicate draws from its own counter-based substream keyed by
-(master_seed, replicate_index), so results are bit-identical for a given
-master seed regardless of execution order or thread count.
+Replicates run one after another.  Each draws from its own counter-based
+substream keyed by (master_seed, replicate_index), so results are
+bit-identical for a given master seed, and a run of n replicates yields
+the first n samples of any longer run with the same seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special as sp
 
 from .geometry import count_in_intervals, sample_lattice, sample_ppp
 from .interference import DistributionCurve, InversionMethod, aggregate_interference
@@ -21,6 +21,7 @@ from .model import GeometryKind, Lane, MediumAccess, Scenario, derive
 from .performance import CurveKind, PerformanceCurve
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+_MAX_POINTS_PER_LANE = 10**7  # positions one replicate may draw in one lane
 
 
 @dataclass(frozen=True)
@@ -28,22 +29,12 @@ class McConfig:
     replicates: int = 5000
     window: float = 10_000.0  # m, one-sided
     master_seed: int = 0
-    parallelism: Union[int, str] = "auto"
 
     def __post_init__(self) -> None:
         if self.replicates < 100:
             raise ValueError(f"replicates must be >= 100, got {self.replicates}")
-        if self.window <= 0:
+        if not self.window > 0:
             raise ValueError(f"window must be positive, got {self.window}")
-        if not (self.parallelism == "auto"
-                or (isinstance(self.parallelism, int) and self.parallelism >= 1)):
-            raise ValueError(f"parallelism must be 'auto' or >= 1, got {self.parallelism}")
-
-    def workers(self) -> int:
-        if self.parallelism == "auto":
-            import os
-            return min(8, os.cpu_count() or 1)
-        return int(self.parallelism)
 
 
 @dataclass(frozen=True)
@@ -99,47 +90,40 @@ def _substream(master_seed: int, replicate: int) -> np.random.Generator:
         [np.uint64(master_seed), np.uint64(replicate)], dtype=np.uint64)))
 
 
-def _map_replicates(fn, mc: McConfig) -> np.ndarray:
-    """Evaluate fn(replicate_index) for every replicate, in index order.
+def _draw_samples(scenario: Scenario, mc: McConfig):
+    """Aggregate interference of every replicate, in replicate order.
 
-    Threads only partition the index range; each result lands in its own
-    slot, so the output is independent of the worker count.
+    Returns the samples and the derived constants of each lane.  Windows
+    that would draw more than _MAX_POINTS_PER_LANE positions per lane are
+    refused before the first replicate.
     """
-    out = np.empty(mc.replicates)
-    workers = mc.workers()
-    if workers == 1:
-        for i in range(mc.replicates):
-            out[i] = fn(i)
-        return out
-
-    def run_chunk(bounds):
-        lo, hi = bounds
-        for i in range(lo, hi):
-            out[i] = fn(i)
-
-    edges = np.linspace(0, mc.replicates, workers + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run_chunk, zip(edges[:-1], edges[1:])))
-    return out
-
-
-def _draw_interference(scenario: Scenario, mc: McConfig, replicate: int) -> float:
-    rng = _substream(mc.master_seed, replicate)
-    total = 0.0
-    for i, lane in enumerate(scenario.lanes):
-        consts = derive(scenario, i)
-        if scenario.geometry_kind == GeometryKind.PPP:
-            pattern = sample_ppp(lane, scenario.access, consts.delta_o, mc.window,
-                                 rng, lane_index=i)
-        else:
-            pattern = sample_lattice(lane, scenario.access, consts.delta_o,
-                                     mc.window, rng, lane_index=i)
-        if scenario.fading.kind == "unit":
-            draws = np.ones(len(pattern))
-        else:
-            draws = scenario.fading.sampler(rng, len(pattern))
-        total += aggregate_interference(pattern, consts, draws, lane.offset)
-    return total
+    ppp = scenario.geometry_kind == GeometryKind.PPP
+    sampler = sample_ppp if ppp else sample_lattice
+    consts = [derive(scenario, i) for i in range(len(scenario.lanes))]
+    lanes = list(enumerate(zip(scenario.lanes, consts)))
+    for i, (lane, c) in lanes:
+        points = (mc.window - c.delta_o) * lane.density
+        if ppp:
+            points *= scenario.access.duty_cycle
+        if points > _MAX_POINTS_PER_LANE:
+            raise ValueError(
+                f"window {mc.window:g} m puts {points:.3g} points per replicate "
+                f"in lane {i}; at most {_MAX_POINTS_PER_LANE:.0e}, shrink the window")
+    unit = scenario.fading.kind == "unit"
+    samples = np.empty(mc.replicates)
+    for rep in range(mc.replicates):
+        rng = _substream(mc.master_seed, rep)
+        total = 0.0
+        for i, (lane, c) in lanes:
+            pattern = sampler(lane, scenario.access, c.delta_o, mc.window, rng,
+                              lane_index=i)
+            if unit:
+                draws = np.ones(len(pattern))
+            else:
+                draws = scenario.fading.sampler(rng, len(pattern))
+            total += aggregate_interference(pattern, c, draws, lane.offset)
+        samples[rep] = total
+    return samples, consts
 
 
 def _empirical_curve(samples: np.ndarray) -> DistributionCurve:
@@ -162,16 +146,13 @@ def _levy_regime(scenario: Scenario) -> bool:
     return all(lane.offset == 0.0 for lane in scenario.lanes)
 
 
-def mc_interference(scenario: Scenario, mc: McConfig,
-                    sample_path: Optional[str] = None) -> McInterference:
+def mc_interference(scenario: Scenario, mc: McConfig) -> McInterference:
     """One aggregate-interference sample per replicate, with summaries.
 
     The sample mean is suppressed (NaN with a flag) in the worst-case
     regime where the interference law is heavy-tailed with no mean.
     """
-    samples = _map_replicates(lambda i: _draw_interference(scenario, mc, i), mc)
-    if sample_path is not None:
-        samples.astype("<f8").tofile(sample_path)
+    samples, _ = _draw_samples(scenario, mc)
     suppressed = _levy_regime(scenario)
     if suppressed:
         mean = McEstimate(value=math.nan, ci_halfwidth=0.0,
@@ -195,9 +176,9 @@ def mc_ranging_success(scenario: Scenario, range_grid, mc: McConfig,
     grid = np.asarray(range_grid, dtype=float)
     if np.any(grid <= 0):
         raise ValueError("range grid must be positive")
-    consts = derive(scenario, 0)
     n = noise if noise is not None else scenario.radar.noise_power
-    samples = _map_replicates(lambda i: _draw_interference(scenario, mc, i), mc)
+    samples, lane_consts = _draw_samples(scenario, mc)
+    consts = lane_consts[0]
     t = scenario.radar.sinr_threshold
     ps = np.empty(grid.shape)
     hw = np.empty(grid.shape)
@@ -215,11 +196,15 @@ def mc_ranging_success(scenario: Scenario, range_grid, mc: McConfig,
                          replicates=mc.replicates, seed=mc.master_seed)
 
 
+def _poisson_pmf(k: np.ndarray, mean: float) -> np.ndarray:
+    return np.exp(sp.xlogy(k, mean) - sp.gammaln(k + 1) - mean)
+
+
 def _merged_poisson_bins(counts: np.ndarray, mean: float, min_expected: float = 5.0):
     """Observed/expected count-histogram bins with expected >= min_expected."""
     n = counts.size
     kmax = int(counts.max())
-    pmf = stats.poisson.pmf(np.arange(kmax + 1), mean)
+    pmf = _poisson_pmf(np.arange(kmax + 1), mean)
     pmf = np.append(pmf, max(1.0 - pmf.sum(), 0.0))  # k > kmax tail
     observed = np.bincount(counts, minlength=kmax + 2).astype(float)
     expected = n * pmf
@@ -256,11 +241,16 @@ def mc_convergence_bl_to_ppp(lambda_i: float, delta_list: Sequence[float],
     length = lengths.pop()
     mean = lambda_i * length
     window = max(hi for _, hi in iv) + 1.0
+    for delta in delta_list:
+        if delta * lambda_i > 1.0 + 1e-12:
+            raise ValueError(f"delta={delta} gives xi={delta * lambda_i} > 1")
+        if window / delta > _MAX_POINTS_PER_LANE:
+            raise ValueError(
+                f"delta={delta} puts {window / delta:.3g} lattice sites in the "
+                f"{window:g} m window; at most {_MAX_POINTS_PER_LANE:.0e}")
     rows = []
     for delta in delta_list:
         xi = delta * lambda_i
-        if xi > 1.0 + 1e-12:
-            raise ValueError(f"delta={delta} gives xi={xi} > 1")
         lane = Lane(offset=0.0, density=1.0 / delta)
         access = MediumAccess(duty_cycle=min(xi, 1.0))
         all_counts = np.empty((mc.replicates, len(iv)), dtype=int)
@@ -275,10 +265,10 @@ def mc_convergence_bl_to_ppp(lambda_i: float, delta_list: Sequence[float],
         else:
             dof = obs.size - 1
             chi2 = float(np.sum((obs - exp) ** 2 / exp))
-            pval = float(stats.chi2.sf(chi2, dof))
+            pval = float(sp.chdtrc(dof, chi2))
         kmax = int(counts.max())
         emp = np.bincount(counts, minlength=kmax + 1) / counts.size
-        pois = stats.poisson.pmf(np.arange(kmax + 1), mean)
+        pois = _poisson_pmf(np.arange(kmax + 1), mean)
         tv = 0.5 * (np.abs(emp - pois).sum() + max(1.0 - pois.sum(), 0.0))
         rows.append(GofRow(spacing=float(delta), duty_cycle=float(xi), chi2=chi2,
                            dof=dof, p_value=pval, tv_distance=float(tv)))

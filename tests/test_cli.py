@@ -193,6 +193,16 @@ def test_console_script_installed(tmp_path):
     assert proc.stdout.startswith("density,mean_ppp_w,mean_bl_w")
 
 
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats alone costs most of a second at start-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, radar_sg.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_runspec_validation(tmp_path):
     with pytest.raises(ValueError):
         RunSpec(scenario_path="x", command="explode", out=None, fmt="csv")

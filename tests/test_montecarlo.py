@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from radar_sg import montecarlo
 from radar_sg.model import GeometryKind, Lane, MediumAccess, derive
 from radar_sg.montecarlo import (McConfig, mc_convergence_bl_to_ppp,
                                  mc_interference, mc_ranging_success)
@@ -18,18 +19,36 @@ def test_mc_config_validation():
         McConfig(replicates=50)
     with pytest.raises(ValueError):
         McConfig(window=0.0)
+    with pytest.raises(ValueError):
+        McConfig(window=math.nan)
     assert McConfig().replicates == 5000
     assert McConfig().window == 10000.0
-    assert McConfig(parallelism=3).workers() == 3
 
 
-def test_mc_interference_deterministic_across_parallelism(default_scenario):
+def test_mc_interference_deterministic_and_prefix_stable(default_scenario):
     runs = [mc_interference(default_scenario,
-                            McConfig(replicates=400, master_seed=11,
-                                     parallelism=p))
-            for p in (1, 4)]
-    assert np.array_equal(runs[0].samples, runs[1].samples)
+                            McConfig(replicates=n, master_seed=11))
+            for n in (1000, 1000, 2000)]
+    assert runs[0].samples.tobytes() == runs[1].samples.tobytes()
     assert runs[0].mean.value == runs[1].mean.value
+    # each replicate owns its substream, so a shorter run is a prefix
+    assert runs[0].samples.tobytes() == runs[2].samples[:1000].tobytes()
+
+
+def _refuse_to_sample(*args, **kwargs):
+    raise AssertionError("sampled a point pattern before refusing the window")
+
+
+@pytest.mark.parametrize("geometry", list(GeometryKind))
+def test_mc_oversize_window_refused_before_sampling(monkeypatch, geometry):
+    monkeypatch.setattr(montecarlo, "sample_ppp", _refuse_to_sample)
+    monkeypatch.setattr(montecarlo, "sample_lattice", _refuse_to_sample)
+    sc = make_scenario(geometry=geometry)
+    for window in (1e12, math.inf):
+        with pytest.raises(ValueError, match="window"):
+            mc_interference(sc, McConfig(replicates=100, window=window))
+        with pytest.raises(ValueError, match="window"):
+            mc_ranging_success(sc, [50.0], McConfig(replicates=100, window=window))
 
 
 def test_mc_interference_seed_sensitivity(default_scenario):
@@ -60,15 +79,6 @@ def test_mc_mean_suppressed_in_heavy_tail_regime():
     res = mc_interference(sc, McConfig(replicates=200, master_seed=0))
     assert res.mean_suppressed
     assert math.isnan(res.mean.value)
-
-
-def test_mc_sample_dump_roundtrip(default_scenario, tmp_path):
-    p = tmp_path / "samples.f8"
-    res = mc_interference(default_scenario,
-                          McConfig(replicates=200, master_seed=5),
-                          sample_path=str(p))
-    back = np.fromfile(p, dtype="<f8")
-    assert np.array_equal(back, res.samples)
 
 
 def test_mc_lattice_geometry(default_scenario):
@@ -117,3 +127,10 @@ def test_convergence_input_validation():
     with pytest.raises(ValueError):
         mc_convergence_bl_to_ppp(0.01, [10.0],
                                  [(0.0, 100.0), (100.0, 300.0)], mc)
+
+
+def test_convergence_refuses_dense_lattice_before_sampling(monkeypatch):
+    monkeypatch.setattr(montecarlo, "sample_lattice", _refuse_to_sample)
+    with pytest.raises(ValueError, match="lattice sites"):
+        mc_convergence_bl_to_ppp(0.01, [10.0, 1e-6], [(0.0, 100.0)],
+                                 McConfig(replicates=100))
