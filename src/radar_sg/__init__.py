@@ -13,8 +13,9 @@ from .interference import (CfSpec, ContourError, DistributionCurve,
                            cdf_bl_talbot, cdf_from_laplace_talbot,
                            cdf_gil_pelaez, cdf_levy_closed, cf_bl,
                            cf_decay_cutoff, cf_levy, cf_ppp, cf_ppp_ln0,
-                           laplace_bl, levy_quantile, mean_bl, mean_ppp_exact,
-                           mean_simplified, tabulated_cf)
+                           interference_cdf, laplace_bl, levy_quantile,
+                           mean_bl, mean_ppp_exact, mean_simplified,
+                           tabulated_cf)
 from .performance import (CurveKind, OptimizationResult, PerformanceCurve,
                           cdf_quantile, duty_cycle_asymptote,
                           expected_optimal_duty_cycle, nn_distance_pdf,

@@ -235,21 +235,6 @@ def _cmd_mean(scenario: Scenario, spec: RunSpec):
     return header, rows
 
 
-def _analytic_cdf(scenario: Scenario, grid: np.ndarray) -> itf.DistributionCurve:
-    cspec = itf.CfSpec.from_scenario(scenario)
-    if scenario.geometry_kind == GeometryKind.BERNOULLI_LATTICE:
-        return itf.cdf_bl_talbot(cspec, grid)
-    try:
-        return itf.cdf_levy_closed(cspec, grid)
-    except itf.RegimeError:
-        pass
-    cutoff = itf.cf_decay_cutoff(lambda w: itf.cf_ppp(cspec, w),
-                                 0.1 / float(grid[-1]), 1e12)
-    fast = itf.tabulated_cf(lambda w: itf.cf_ppp(cspec, w),
-                            cutoff * 1e-7, cutoff, points=900)
-    return itf.cdf_gil_pelaez(fast, grid)
-
-
 def _default_x_grid(scenario: Scenario, points: int = 200) -> np.ndarray:
     cspec = itf.CfSpec.from_scenario(scenario)
     try:
@@ -263,7 +248,7 @@ def _default_x_grid(scenario: Scenario, points: int = 200) -> np.ndarray:
 
 def _cmd_cdf(scenario: Scenario, spec: RunSpec):
     grid = _default_x_grid(scenario)
-    curve = _analytic_cdf(scenario, grid)
+    curve = itf.interference_cdf(itf.CfSpec.from_scenario(scenario), grid)
     header = ["x_watts", "cdf_analytic", "method"]
     rows = [[x, f, curve.method.value] for x, f in zip(curve.grid, curve.cdf)]
     if spec.mc:
@@ -291,7 +276,7 @@ def _cmd_ps(scenario: Scenario, spec: RunSpec):
     general = np.zeros(grid.shape)
     if np.any(pos):
         xs = np.unique(args[pos])
-        curve = _analytic_cdf(scenario, xs)
+        curve = itf.interference_cdf(itf.CfSpec.from_scenario(scenario), xs)
         general[pos] = curve(args[pos])
     worst = np.array([perf.p_success_wc(consts, float(r), scenario.access, lane, noise)
                       for r in grid])
@@ -454,7 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--replicates", type=int, default=5000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--window", type=float, default=10_000.0,
-                        help="one-sided simulation window, meters")
+                        help="one-sided simulation window, meters; converge "
+                             "draws its lattice only to its last interval "
+                             "edge (2000 m) and refuses a shorter window")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"),
                         default="csv")

@@ -231,6 +231,10 @@ def mc_convergence_bl_to_ppp(lambda_i: float, delta_list: Sequence[float],
     interferer counts in the given equal-length intervals are tested
     against the Poisson law of the limiting process: a chi-squared GoF
     on the count histogram plus an empirical total-variation distance.
+
+    The lattice is drawn only to 1 m past the farthest interval edge, not
+    to ``mc.window``: sites beyond it cannot change a count.  A window
+    shorter than that edge would cut the intervals and is refused.
     """
     if lambda_i <= 0:
         raise ValueError("lambda_i must be positive")
@@ -240,7 +244,11 @@ def mc_convergence_bl_to_ppp(lambda_i: float, delta_list: Sequence[float],
         raise ValueError("intervals must share a common length")
     length = lengths.pop()
     mean = lambda_i * length
-    window = max(hi for _, hi in iv) + 1.0
+    edge = max(hi for _, hi in iv)
+    if mc.window < edge:
+        raise ValueError(f"window {mc.window:g} m ends before the farthest "
+                         f"interval edge at {edge:g} m")
+    window = edge + 1.0
     for delta in delta_list:
         if delta * lambda_i > 1.0 + 1e-12:
             raise ValueError(f"delta={delta} gives xi={delta * lambda_i} > 1")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 from scipy import special as sp
 
@@ -87,4 +86,6 @@ def expint_gen(n_order: float, z: complex) -> complex:
         raise ValueError(f"expint_gen diverges for Re(z) > 0, got z={z}")
     if z.real == 0 and z.imag != 0 and n_order <= 1:
         raise ValueError("expint_gen on the imaginary axis requires order > 1")
+    import mpmath  # no CLI command gets here; the import costs time and ~4 MB
+
     return complex(mpmath.expint(n_order, -z))

@@ -10,10 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from radar_sg.interference import (CfSpec, cdf_gil_pelaez, cdf_bl_talbot,
-                                   cdf_levy_closed, cf_decay_cutoff, cf_levy,
-                                   cf_ppp, levy_quantile, mean_bl,
-                                   mean_simplified, tabulated_cf)
+from radar_sg.interference import (CfSpec, cdf_gil_pelaez, cdf_levy_closed,
+                                   cf_levy, interference_cdf, levy_quantile,
+                                   mean_bl, mean_simplified)
 from radar_sg.model import (GeometryKind, Lane, MediumAccess, derive)
 from radar_sg.montecarlo import (McConfig, mc_convergence_bl_to_ppp,
                                  mc_interference, mc_ranging_success)
@@ -84,13 +83,8 @@ def test_criterion_3_ppp_vs_bl_cdf_proximity():
     mean = mean_bl(consts, sc_ppp.lanes[0], sc_ppp.access)
     x = np.geomspace(0.02 * mean, 50.0 * mean, 200)
 
-    spec_ppp = CfSpec.from_scenario(sc_ppp)
-    cut = cf_decay_cutoff(lambda w: cf_ppp(spec_ppp, w), 0.1 / x[-1], 1e12)
-    tab = tabulated_cf(lambda w: cf_ppp(spec_ppp, w), cut * 1e-7, cut, 1100)
-    curve_ppp = cdf_gil_pelaez(tab, x, tolerance=1e-4)
-
-    spec_bl = CfSpec.from_scenario(sc_bl)
-    curve_bl = cdf_bl_talbot(spec_bl, x)
+    curve_ppp = interference_cdf(CfSpec.from_scenario(sc_ppp), x, tolerance=1e-4)
+    curve_bl = interference_cdf(CfSpec.from_scenario(sc_bl), x, tolerance=1e-4)
 
     sup = float(np.max(np.abs(curve_ppp.cdf - curve_bl.cdf)))
 
@@ -152,9 +146,7 @@ def test_criterion_5_ranging_success():
     consts_g = derive(sc_g, 0)
     spec_g = CfSpec.from_scenario(sc_g)
     args = np.array([ranging_signal(consts_g, r) / 10.0 for r in grid])
-    cut = cf_decay_cutoff(lambda w: cf_ppp(spec_g, w), 0.1 / args.max(), 1e12)
-    tab = tabulated_cf(lambda w: cf_ppp(spec_g, w), cut * 1e-7, cut, 1100)
-    curve = cdf_gil_pelaez(tab, np.sort(args), tolerance=1e-4)
+    curve = interference_cdf(spec_g, np.sort(args), tolerance=1e-4)
     general = np.array([p_success(curve, consts_g, r) for r in grid])
     worst = np.array([p_success_wc(consts_g, r, sc_g.access, sc_g.lanes[0])
                       for r in grid])

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from radar_sg import interference as itf
 from radar_sg.interference import (CfSpec, DistributionCurve, InversionMethod,
-                                   LaneProcess, MonotonicityError, RegimeError,
-                                   cdf_gil_pelaez, cdf_levy_closed, cf_levy,
-                                   cf_ppp, cf_ppp_ln0, cf_decay_cutoff,
-                                   levy_quantile, tabulated_cf)
+                                   LaneProcess, MonotonicityError,
+                                   QuadratureError, RegimeError, _cdf_from_cf,
+                                   _invert_band_limited, cdf_gil_pelaez,
+                                   cdf_levy_closed, cf_levy, cf_ppp, cf_ppp_ln0,
+                                   cf_decay_cutoff, interference_cdf,
+                                   levy_quantile, mean_ppp_exact, tabulated_cf)
 from radar_sg.model import FadingModel, Lane, derive
 from conftest import make_scenario
 
@@ -46,7 +49,6 @@ def test_cf_ppp_basic_properties():
 
 def test_cf_ppp_derivative_matches_mean():
     # phi'(0) = j E[I]
-    from radar_sg.interference import mean_ppp_exact
     sc = make_scenario()
     spec = CfSpec.from_scenario(sc)
     mean = mean_ppp_exact(derive(sc, 0), sc.lanes[0], sc.access)
@@ -248,3 +250,99 @@ def test_levy_quantile_roundtrip():
     assert levy_quantile(spec, 0.5) == pytest.approx(a / z ** 2, rel=1e-12)
     assert levy_quantile(spec, 0.5) == pytest.approx(
         0.00033579016805027284, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the CF -> CDF pipeline on fixed nodes
+# ---------------------------------------------------------------------------
+
+def ppp_grid(points):
+    sc = make_scenario()
+    mean = mean_ppp_exact(derive(sc, 0), sc.lanes[0], sc.access)
+    return CfSpec.from_scenario(sc), np.geomspace(0.02 * mean, 50.0 * mean, points)
+
+
+def spy_tabulations(monkeypatch):
+    """Record (points, surrogate, omega_hi) of every tabulated_cf call."""
+    real = itf.tabulated_cf
+    calls = []
+
+    def spy(cf, omega_lo, omega_hi, points=900):
+        surrogate = real(cf, omega_lo, omega_hi, points=points)
+        calls.append((points, surrogate, omega_hi))
+        return surrogate
+    monkeypatch.setattr(itf, "tabulated_cf", spy)
+    return calls
+
+
+def test_interference_cdf_matches_adaptive_gil_pelaez(monkeypatch):
+    spec, x = ppp_grid(20)
+    calls = spy_tabulations(monkeypatch)
+    curve = interference_cdf(spec, x)
+    assert curve.method is InversionMethod.GIL_PELAEZ
+    assert curve.tolerance == 1e-4
+    _, surrogate, _ = calls[-1]
+    adaptive = cdf_gil_pelaez(surrogate, x, tolerance=1e-6)
+    assert np.max(np.abs(curve.cdf - adaptive.cdf)) < 1e-6
+
+
+def test_surrogate_doubling_evaluates_each_cf_point_once(monkeypatch):
+    spec, x = ppp_grid(20)
+    calls = spy_tabulations(monkeypatch)
+    real_cf = itf.cf_ppp
+    evaluated = []
+
+    def counted(spec_, omega):
+        evaluated.append(np.size(omega))
+        return real_cf(spec_, omega)
+    real_cutoff = itf.cf_decay_cutoff
+
+    def cutoff(*args, **kwargs):
+        value = real_cutoff(*args, **kwargs)
+        evaluated.clear()  # the decay scan is not part of the tabulation
+        return value
+    monkeypatch.setattr(itf, "cf_ppp", counted)
+    monkeypatch.setattr(itf, "cf_decay_cutoff", cutoff)
+    interference_cdf(spec, x)
+    sizes = [points for points, _, _ in calls]
+    assert sizes == [68 * 2 ** k + 1 for k in range(len(sizes))]
+    assert len(sizes) >= 2
+    assert sum(evaluated) == sizes[-1]
+
+
+def test_halving_the_panel_width_moves_the_curve_below_tolerance(monkeypatch):
+    spec, x = ppp_grid(200)
+    calls = spy_tabulations(monkeypatch)
+    curve = interference_cdf(spec, x)
+    _, surrogate, omega_max = calls[-1]
+    base = _invert_band_limited(surrogate, omega_max, x)
+    # a grid point at 2 * max(x) halves the panel width 2*pi/max(x)
+    halved = _invert_band_limited(surrogate, omega_max, np.append(x, 2.0 * x[-1]))
+    assert np.max(np.abs(halved[:-1] - base)) < curve.tolerance / 100.0
+
+
+def test_band_limited_gamma_law():
+    k, th = 3.0, 2.0
+
+    def cf(w):
+        return (1.0 - 1j * th * np.asarray(w, dtype=complex)) ** (-k)
+
+    x = np.linspace(0.2, 30.0, 30)
+    curve = _cdf_from_cf(cf, x, tolerance=1e-6)
+    assert np.max(np.abs(curve.cdf - stats.gamma.cdf(x, k, scale=th))) < 1e-6
+
+
+def test_unreachable_tolerance_raises_instead_of_looping():
+    spec, x = ppp_grid(5)
+    with pytest.raises(QuadratureError, match="4353"):
+        interference_cdf(spec, x, tolerance=1e-14)
+
+
+def test_oversize_node_count_refused_before_tabulating(monkeypatch):
+    spec, x = ppp_grid(5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tabulated the CF before refusing the grid")
+    monkeypatch.setattr(itf, "tabulated_cf", refuse)
+    with pytest.raises(QuadratureError, match="nodes"):
+        interference_cdf(spec, np.append(x, 1e4 * x[-1]))

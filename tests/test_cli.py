@@ -150,6 +150,33 @@ def test_ps_command_json(tmp_path):
     assert np.all(rows[:, 1] + 1e-4 >= rows[:, 2])
 
 
+def test_lattice_cdf_never_attempts_talbot(tmp_path, monkeypatch, capsys):
+    # the lattice transform is entire, so the Talbot contour always fails;
+    # the CLI must go straight to the CF route
+    from radar_sg import interference as itf
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lattice cdf attempted the Talbot contour")
+    lattice_cf_calls = []
+
+    def cheap_lattice_cf(spec, omega):
+        # the PPP law of the same scenario stands in for the costly lattice CF
+        lattice_cf_calls.append(spec.geometry)
+        return itf.cf_ppp(spec, omega)
+    monkeypatch.setattr(itf, "cdf_from_laplace_talbot", refuse)
+    monkeypatch.setattr(itf, "cdf_bl_talbot", refuse)
+    monkeypatch.setattr(itf, "cf_bl", cheap_lattice_cf)
+    doc = json.loads(bundled_text())
+    doc["geometry"] = "bernoulli_lattice"
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(doc))
+    assert main(["cdf", "--scenario", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "x_watts,cdf_analytic,method"
+    assert all(line.endswith(",gil_pelaez") for line in lines[1:])
+    assert set(lattice_cf_calls) == {GeometryKind.BERNOULLI_LATTICE}
+
+
 def test_mc_command_deterministic(tmp_path):
     outs = []
     for name in ("m1.json", "m2.json"):
@@ -194,13 +221,23 @@ def test_console_script_installed(tmp_path):
 
 
 def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats alone costs most of a second at start-up
+    # scipy.stats alone costs most of a second at start-up, mpmath ~4 MB
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, radar_sg.cli; print('scipy.stats' in sys.modules)"],
+         "import sys, radar_sg.cli; "
+         "print('scipy.stats' in sys.modules, 'mpmath' in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
+
+
+def test_converge_refuses_window_short_of_the_intervals(tmp_path, capsys):
+    rc = main(["converge", "--scenario", bundled_path(tmp_path),
+               "--window", "50"])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "ValueError"
+    assert "window" in doc["message"]
 
 
 def test_runspec_validation(tmp_path):

@@ -134,3 +134,10 @@ def test_convergence_refuses_dense_lattice_before_sampling(monkeypatch):
     with pytest.raises(ValueError, match="lattice sites"):
         mc_convergence_bl_to_ppp(0.01, [10.0, 1e-6], [(0.0, 100.0)],
                                  McConfig(replicates=100))
+
+
+def test_convergence_refuses_short_window_before_sampling(monkeypatch):
+    monkeypatch.setattr(montecarlo, "sample_lattice", _refuse_to_sample)
+    with pytest.raises(ValueError, match="window"):
+        mc_convergence_bl_to_ppp(0.01, [10.0], [(0.0, 100.0), (100.0, 200.0)],
+                                 McConfig(replicates=100, window=150.0))
