@@ -269,9 +269,8 @@ def _cmd_ps(scenario: Scenario, spec: RunSpec):
     consts = derive(scenario, 0)
     lane = scenario.lanes[0]
     noise = scenario.radar.noise_power
-    t = scenario.radar.sinr_threshold
-    args = np.array([perf.ranging_signal(consts, float(r)) / t - noise
-                     for r in grid])
+    args = np.array([perf.ranging_signal(consts, float(r)) / consts.sinr_threshold
+                     - noise for r in grid])
     pos = args > 0
     general = np.zeros(grid.shape)
     if np.any(pos):
@@ -287,7 +286,7 @@ def _cmd_ps(scenario: Scenario, spec: RunSpec):
                               window=spec.window)
         res = mc_mod.mc_ranging_success(scenario, grid, cfg)
         header += ["p_success_mc", "ci99_halfwidth"]
-        for row, p, hw in zip(rows, res.curve.values, res.ci_halfwidth):
+        for row, p, hw in zip(rows, res.p_success, res.ci_halfwidth):
             row += [float(p), float(hw)]
     return header, rows
 
@@ -304,11 +303,10 @@ def _cmd_optimize(scenario: Scenario, spec: RunSpec):
     rows = []
     for r in sweep.grid():
         res = perf.optimal_duty_cycle(lane, consts, float(r))
-        big_c = consts.big_c(float(r))
         for li in lam_grid:
-            beta = li * math.erfc(big_c * li)
-            rows.append([r, li, beta, res.lambda_i_star, res.xi_star,
-                         res.beta_star, int(res.clamped)])
+            rows.append([r, li, perf.spatial_success(li, consts, float(r)),
+                         res.lambda_i_star, res.xi_star, res.beta_star,
+                         int(res.clamped)])
     return header, rows
 
 

@@ -3,73 +3,51 @@
 Both samplers work on a one-sided window (delta_o, W] of longitudinal
 positions and apply the interferer marking rule: vehicles closer than
 the guard distance are dropped, the rest are retained independently
-with the duty-cycle probability.
+with the duty-cycle probability.  A realization is the sorted array of
+the retained interferers' positions, in meters.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Lane, MediumAccess
 
 
-@dataclass(frozen=True)
-class PointPattern:
-    """One realization of interferer longitudinal positions for a lane."""
-
-    positions: np.ndarray  # m, sorted ascending, all in (delta_o, window]
-    lane_index: int
-    window: float  # m
-
-    def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=float)
-        object.__setattr__(self, "positions", pos)
-
-    def __len__(self) -> int:
-        return self.positions.size
-
-
 def sample_ppp(lane: Lane, access: MediumAccess, delta_o: float, window: float,
-               rng: np.random.Generator, lane_index: int = 0) -> PointPattern:
+               rng: np.random.Generator) -> np.ndarray:
     """Thinned Poisson pattern: count ~ Poisson(xi*lambda*(W - delta_o)),
-    positions i.i.d. uniform on (delta_o, W]."""
+    positions i.i.d. uniform on (delta_o, W], returned sorted."""
     if window <= delta_o:
         raise ValueError(f"window {window} must exceed delta_o {delta_o}")
     mean_count = access.duty_cycle * lane.density * (window - delta_o)
     n = rng.poisson(mean_count)
     pos = delta_o + (window - delta_o) * rng.random(n)
     pos.sort()
-    return PointPattern(positions=pos, lane_index=lane_index, window=window)
+    return pos
 
 
 def sample_lattice(lane: Lane, access: MediumAccess, delta_o: float, window: float,
-                   rng: np.random.Generator, lane_index: int = 0) -> PointPattern:
+                   rng: np.random.Generator) -> np.ndarray:
     """Translated Bernoulli lattice: positions delta_o + (m + U)*delta with a
     single uniform translation U shared by the whole realization, then
-    independent Bernoulli(xi) retention."""
+    independent Bernoulli(xi) retention; returned sorted."""
     if window <= delta_o:
         raise ValueError(f"window {window} must exceed delta_o {delta_o}")
     delta = lane.spacing
     u = rng.random()  # one shared translation per realization
     n_sites = int(np.floor((window - delta_o) / delta - u)) + 1
     if n_sites <= 0:
-        return PointPattern(np.empty(0), lane_index, window)
+        return np.empty(0)
     m = np.arange(n_sites)
     sites = delta_o + (m + u) * delta
     keep = rng.random(n_sites) < access.duty_cycle
     # marking cutoff is strict: x > delta_o (U=0 would put site 0 at delta_o)
     keep &= sites > delta_o
-    return PointPattern(positions=sites[keep], lane_index=lane_index, window=window)
+    return sites[keep]
 
 
-def euclidean_distances(pattern: PointPattern, lane_offset: float) -> np.ndarray:
-    """Per-point distance sqrt(x^2 + L_n^2) from the typical vehicle."""
-    return np.hypot(pattern.positions, lane_offset)
-
-
-def count_in_intervals(pattern: PointPattern, intervals) -> np.ndarray:
+def count_in_intervals(positions: np.ndarray, intervals) -> np.ndarray:
     """Exact point counts in disjoint half-open intervals (lo, hi]."""
     iv = sorted((float(lo), float(hi)) for lo, hi in intervals)
     for (lo, hi) in iv:
@@ -78,6 +56,6 @@ def count_in_intervals(pattern: PointPattern, intervals) -> np.ndarray:
     for (_, hi_prev), (lo, _) in zip(iv, iv[1:]):
         if lo < hi_prev:
             raise ValueError("intervals must be disjoint")
-    pos = pattern.positions
-    counts = [int(np.count_nonzero((pos > lo) & (pos <= hi))) for lo, hi in intervals]
+    counts = [int(np.count_nonzero((positions > lo) & (positions <= hi)))
+              for lo, hi in intervals]
     return np.asarray(counts, dtype=int)

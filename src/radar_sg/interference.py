@@ -25,7 +25,6 @@ import numpy as np
 from scipy import special as sp
 
 from . import specfun
-from .geometry import PointPattern
 from .model import (DerivedConstants, FadingModel, GeometryKind, Lane,
                     MediumAccess, Scenario, derive)
 
@@ -83,20 +82,6 @@ class DistributionCurve:
         """Piecewise-linear evaluation, clamped to the edge values."""
         return np.interp(x, self.grid, self.cdf)
 
-    def to_json(self) -> dict:
-        return {
-            "x_watts": [float(v) for v in self.grid],
-            "cdf": [float(v) for v in self.cdf],
-            "method": self.method.value,
-            "tolerance": self.tolerance,
-        }
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("x_watts,cdf,method\n")
-            for x, f in zip(self.grid, self.cdf):
-                fh.write(f"{x:.12g},{f:.12g},{self.method.value}\n")
-
 
 @dataclass(frozen=True)
 class LaneProcess:
@@ -151,15 +136,15 @@ class CfSpec:
 # aggregate sum and means
 # ---------------------------------------------------------------------------
 
-def aggregate_interference(pattern: PointPattern, consts: DerivedConstants,
+def aggregate_interference(positions: np.ndarray, consts: DerivedConstants,
                            fading_draws, lane_offset: float = 0.0) -> float:
-    """Sum of gamma1 * P0 * g * ||x||^-alpha over the pattern."""
+    """Sum of gamma1 * P0 * g * ||x||^-alpha over the interferer positions."""
     g = np.asarray(fading_draws, dtype=float)
-    if g.size != len(pattern):
-        raise ValueError("fading_draws must match pattern length")
-    if len(pattern) == 0:
+    if g.size != len(positions):
+        raise ValueError("fading_draws must match the number of positions")
+    if len(positions) == 0:
         return 0.0
-    dist = np.hypot(pattern.positions, lane_offset)
+    dist = np.hypot(positions, lane_offset)
     return float(np.sum(consts.gamma1 * consts.tx_power * g * dist ** (-consts.pathloss_exp)))
 
 
@@ -302,25 +287,27 @@ def _tail_sum(v0, alpha: float, ln: float, delta: float, scale: float):
 # characteristic functions (PPP)
 # ---------------------------------------------------------------------------
 
+_THETA_SMALL = 1e-3  # phase below which the integrand is Taylor-expanded
+_MAX_PHASE_PANELS = 10 ** 6
+
+
 def _ppp_lane_exponent(omega: float, lane: LaneProcess, b: float, alpha: float,
-                       fading: FadingModel, theta_small: float = 1e-3,
-                       max_panels: int = 1_000_000) -> complex:
+                       fading: FadingModel) -> complex:
     """lambda_I * int_{delta_o}^inf E_g[1 - exp(j w g b (u^2+L^2)^(-a/2))] du.
 
     The phase theta(u) = w*b*(u^2+L^2)^(-alpha/2) decreases monotonically
     in u, so the integral is split into panels of bounded phase change
     (Gauss-Legendre inside each) and closed with a Taylor tail once the
-    phase falls below theta_small.
+    phase falls below _THETA_SMALL.
     """
     if omega == 0.0:
         return 0.0 + 0.0j
     if omega < 0.0:
-        return np.conj(_ppp_lane_exponent(-omega, lane, b, alpha, fading,
-                                          theta_small, max_panels))
+        return np.conj(_ppp_lane_exponent(-omega, lane, b, alpha, fading))
     d0, ln = lane.delta_o, lane.offset
     if d0 == 0.0 and ln == 0.0:
         raise RegimeError("the exact PPP CF integral needs delta_o > 0 or L_n > 0; "
-                          "use cf_ppp_ln0 or cf_levy for the worst-case regime")
+                          "use cf_levy for the worst-case regime (alpha = 2)")
     fn = _fading_nodes(fading)
     m1, m2, m3 = _fading_moments(fading)
     wb = omega * b
@@ -333,21 +320,21 @@ def _ppp_lane_exponent(omega: float, lane: LaneProcess, b: float, alpha: float,
 
     theta_max = float(theta_of_u(d0))
     total = 0.0 + 0.0j
-    if theta_max > theta_small:
+    if theta_max > _THETA_SMALL:
         # descending phase levels: linear steps of ~3 rad while oscillatory,
         # geometric below, down to the Taylor-tail threshold
         levels = []
         if theta_max > 6.0:
             n_lin = int(np.ceil((theta_max - 6.0) / 3.0))
-            if n_lin > max_panels:
+            if n_lin > _MAX_PHASE_PANELS:
                 raise QuadratureError(
                     f"PPP CF integral at omega={omega:.3e} needs {n_lin} phase "
-                    f"panels, beyond the {max_panels} cap")
+                    f"panels, beyond the {_MAX_PHASE_PANELS} cap")
             levels.extend(np.linspace(theta_max, 6.0, n_lin + 1))
         lo = min(theta_max, 6.0)
-        n_log = max(4, int(np.ceil(12.0 * np.log10(lo / theta_small))))
+        n_log = max(4, int(np.ceil(12.0 * np.log10(lo / _THETA_SMALL))))
         start = 1 if levels else 0
-        levels.extend(np.geomspace(lo, theta_small, n_log + 1)[start:])
+        levels.extend(np.geomspace(lo, _THETA_SMALL, n_log + 1)[start:])
         edges = u_of_theta(np.asarray(levels))
         edges[0] = d0
         xg, wg = _gl(16)
@@ -365,7 +352,7 @@ def _ppp_lane_exponent(omega: float, lane: LaneProcess, b: float, alpha: float,
         u_tail = float(edges[-1])
     else:
         u_tail = d0
-    # Taylor tail where the phase magnitude is below theta_small
+    # Taylor tail where the phase magnitude is below _THETA_SMALL
     t1 = _tail_integral(u_tail, alpha, ln)
     t2 = _tail_integral(u_tail, 2.0 * alpha, ln)
     t3 = _tail_integral(u_tail, 3.0 * alpha, ln)
@@ -384,43 +371,6 @@ def cf_ppp(spec: CfSpec, omega):
                                       spec.alpha, spec.fading)
                    for lane in spec.lanes)
         out[i] = np.exp(-expo)
-    return complex(out[0]) if scalar else out
-
-
-def cf_ppp_ln0(spec: CfSpec, omega):
-    """Closed-form PPP CF for zero lane offset (guard distance kept)."""
-    for lane in spec.lanes:
-        if lane.offset != 0.0:
-            raise RegimeError("cf_ppp_ln0 requires a zero lane offset")
-    om = np.asarray(omega, dtype=float)
-    scalar = om.ndim == 0
-    om1 = np.atleast_1d(om)
-    alpha = spec.alpha
-    b = spec.point_scale
-    if spec.fading.kind == "unit":
-        gw = [(1.0, 1.0)]
-    else:
-        g, w = _fading_nodes(spec.fading)
-        gw = list(zip(g, w))
-    out = np.empty(om1.shape, dtype=complex)
-    for i, w_ in enumerate(om1):
-        if w_ == 0.0:
-            out[i] = 1.0
-            continue
-        wa = abs(float(w_))
-        expo = 0.0 + 0.0j
-        for lane in spec.lanes:
-            d0 = lane.delta_o
-            bracket = 0.0 + 0.0j
-            for g, wgt in gw:
-                term = sp.gamma(1.0 - 1.0 / alpha) * (-1j * b * g * wa) ** (1.0 / alpha)
-                if d0 > 0.0:
-                    term += (d0 / alpha) * specfun.expint_gen(
-                        1.0 + 1.0 / alpha, 1j * b * g * d0 ** (-alpha) * wa) - d0
-                bracket += wgt * term
-            expo += lane.lambda_i * bracket
-        val = np.exp(-expo)
-        out[i] = val if w_ > 0 else np.conj(val)
     return complex(out[0]) if scalar else out
 
 
@@ -502,6 +452,9 @@ def _gp_head(cf, x: float, hi: float, tol: float, depth: int = 0) -> float:
             + _gp_panel(cf, x, mid, hi, tol / 2.0))
 
 
+_GP_MAX_PANELS = 1200
+
+
 def _euler_average(partials: Sequence[float]) -> float:
     s = list(partials)
     while len(s) > 1:
@@ -509,11 +462,11 @@ def _euler_average(partials: Sequence[float]) -> float:
     return s[0]
 
 
-def _gp_integral(cf, x: float, tol: float, max_panels: int) -> float:
+def _gp_integral(cf, x: float, tol: float) -> float:
     width = math.pi / x
     total = _gp_head(cf, x, width, tol / 50.0)
     partials = [total]
-    for k in range(1, max_panels):
+    for k in range(1, _GP_MAX_PANELS):
         term = _gp_panel(cf, x, k * width, (k + 1) * width, tol / 100.0)
         total += term
         partials.append(total)
@@ -524,15 +477,15 @@ def _gp_integral(cf, x: float, tol: float, max_panels: int) -> float:
     return _euler_average(partials[-40:])
 
 
-def cdf_gil_pelaez(cf: Callable, grid, tolerance: float = 1e-4,
-                   max_panels: int = 1200) -> DistributionCurve:
+def cdf_gil_pelaez(cf: Callable, grid, tolerance: float = 1e-4) -> DistributionCurve:
     """Invert a characteristic function into a CDF curve.
 
     F(x) = 1/2 - (1/pi) int_0^inf Im[phi(w) e^(-jwx)] / w dw, integrated
     over half-period panels of the e^(-jwx) oscillation with adaptive
     Gauss-Legendre inside each panel.  Integration stops once |phi|
     decays below 1e-10; CFs that never decay (lattice-like laws) fall
-    back to Euler averaging of the alternating partial sums.
+    back to Euler averaging of the last alternating partial sums after
+    _GP_MAX_PANELS panels.
     """
     phi0 = complex(np.asarray(cf(0.0)).reshape(()))
     if abs(phi0 - 1.0) > 1e-8:
@@ -540,7 +493,7 @@ def cdf_gil_pelaez(cf: Callable, grid, tolerance: float = 1e-4,
     x = np.asarray(grid, dtype=float)
     if np.any(x <= 0):
         raise ValueError("Gil-Pelaez grid points must be positive")
-    raw = np.array([0.5 - _gp_integral(cf, float(xi), tolerance, max_panels) / math.pi
+    raw = np.array([0.5 - _gp_integral(cf, float(xi), tolerance) / math.pi
                     for xi in x])
     cdf = _monotonize(raw, tolerance)
     return DistributionCurve(grid=x, cdf=cdf, method=InversionMethod.GIL_PELAEZ,
@@ -765,8 +718,11 @@ def interference_cdf(spec: CfSpec, grid, tolerance: float = 1e-4) -> Distributio
 # Bernoulli-lattice Laplace transform and inversion
 # ---------------------------------------------------------------------------
 
+_MAX_LATTICE_TERMS = 10 ** 6
+
+
 def _bl_lane_log_laplace(s: complex, lane: LaneProcess, b: float, alpha: float,
-                         fading: FadingModel, max_terms: int = 10 ** 6):
+                         fading: FadingModel):
     """Log of the per-lane lattice transform on a translation grid.
 
     Returns (u_nodes, u_weights, log-product at each node).  The site
@@ -798,9 +754,10 @@ def _bl_lane_log_laplace(s: complex, lane: LaneProcess, b: float, alpha: float,
         return u, w, np.zeros(u.shape, dtype=complex)
     d_cut = (b * sa / 1e-2) ** (1.0 / alpha)
     n_terms = int(np.ceil(max(d_cut - d0, delta) / delta)) + 2
-    if n_terms > max_terms:
+    if n_terms > _MAX_LATTICE_TERMS:
         raise QuadratureError(
-            f"lattice product needs {n_terms} factors, beyond the {max_terms} cap")
+            f"lattice product needs {n_terms} factors, beyond the "
+            f"{_MAX_LATTICE_TERMS} cap")
     n_terms = max(n_terms, 16)
     gnodes = _fading_nodes(fading)
     m1, m2, _ = _fading_moments(fading)

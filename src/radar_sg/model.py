@@ -20,10 +20,6 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
-
-
 def dbm_to_watts(p_dbm: float) -> float:
     """10^((p-30)/10)."""
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
@@ -169,7 +165,8 @@ class DerivedConstants:
     """Derived radar constants for one lane of a scenario.
 
     big_c depends on the target range and is exposed as a method; the
-    coefficient sqrt(pi*T/(4*gamma2)) is stored directly.
+    coefficient sqrt(pi*T/(4*gamma2)) and the threshold T are stored
+    directly.
     """
 
     gamma1: float    # m^2
@@ -181,6 +178,7 @@ class DerivedConstants:
     tx_power: float
     pathloss_exp: float
     noise_power: float
+    sinr_threshold: float  # T, linear
 
     def big_c(self, range_r: float) -> float:
         """C = sqrt(pi*T/(4*gamma2)) * R^2."""
@@ -226,4 +224,5 @@ def derive(scenario: Scenario, lane_index: int = 0) -> DerivedConstants:
         tx_power=r.tx_power,
         pathloss_exp=r.pathloss_exp,
         noise_power=r.noise_power,
+        sinr_threshold=r.sinr_threshold,
     )

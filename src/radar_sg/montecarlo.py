@@ -18,7 +18,7 @@ from scipy import special as sp
 from .geometry import count_in_intervals, sample_lattice, sample_ppp
 from .interference import DistributionCurve, InversionMethod, aggregate_interference
 from .model import GeometryKind, Lane, MediumAccess, Scenario, derive
-from .performance import CurveKind, PerformanceCurve
+from .performance import ranging_signal
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _MAX_POINTS_PER_LANE = 10**7  # positions one replicate may draw in one lane
@@ -54,13 +54,15 @@ class McInterference:
     samples: np.ndarray
     empirical_cdf: DistributionCurve
     mean: McEstimate
-    mean_suppressed: bool  # true in the infinite-mean (Levy) regime
+    mean_suppressed: bool  # true when the law has no mean (a lane at L = 0)
 
 
 @dataclass(frozen=True)
 class McPerformance:
-    curve: PerformanceCurve
-    ci_halfwidth: np.ndarray
+    """Empirical p_s at each range of the grid, in the grid's order."""
+
+    p_success: np.ndarray
+    ci_halfwidth: np.ndarray    # 99% binomial
     replicates: int
     seed: int
 
@@ -73,16 +75,6 @@ class GofRow:
     dof: int
     p_value: float
     tv_distance: float
-
-    def to_json(self) -> dict:
-        return {
-            "spacing_m": self.spacing,
-            "duty_cycle": self.duty_cycle,
-            "chi2": self.chi2,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "tv_distance": self.tv_distance,
-        }
 
 
 def _substream(master_seed: int, replicate: int) -> np.random.Generator:
@@ -100,8 +92,8 @@ def _draw_samples(scenario: Scenario, mc: McConfig):
     ppp = scenario.geometry_kind == GeometryKind.PPP
     sampler = sample_ppp if ppp else sample_lattice
     consts = [derive(scenario, i) for i in range(len(scenario.lanes))]
-    lanes = list(enumerate(zip(scenario.lanes, consts)))
-    for i, (lane, c) in lanes:
+    lanes = list(zip(scenario.lanes, consts))
+    for i, (lane, c) in enumerate(lanes):
         points = (mc.window - c.delta_o) * lane.density
         if ppp:
             points *= scenario.access.duty_cycle
@@ -114,14 +106,13 @@ def _draw_samples(scenario: Scenario, mc: McConfig):
     for rep in range(mc.replicates):
         rng = _substream(mc.master_seed, rep)
         total = 0.0
-        for i, (lane, c) in lanes:
-            pattern = sampler(lane, scenario.access, c.delta_o, mc.window, rng,
-                              lane_index=i)
+        for lane, c in lanes:
+            positions = sampler(lane, scenario.access, c.delta_o, mc.window, rng)
             if unit:
-                draws = np.ones(len(pattern))
+                draws = np.ones(len(positions))
             else:
-                draws = scenario.fading.sampler(rng, len(pattern))
-            total += aggregate_interference(pattern, c, draws, lane.offset)
+                draws = scenario.fading.sampler(rng, len(positions))
+            total += aggregate_interference(positions, c, draws, lane.offset)
         samples[rep] = total
     return samples, consts
 
@@ -140,20 +131,20 @@ def _empirical_curve(samples: np.ndarray) -> DistributionCurve:
                              tolerance=1.628 / math.sqrt(n))
 
 
-def _levy_regime(scenario: Scenario) -> bool:
-    if abs(scenario.radar.pathloss_exp - 2.0) > 1e-9:
-        return False
-    return all(lane.offset == 0.0 for lane in scenario.lanes)
+def _infinite_mean(scenario: Scenario) -> bool:
+    """A lane with no offset has no guard region either (delta_o = 0), so
+    its nearest interferer's term x^-alpha has no mean for any alpha > 1."""
+    return any(lane.offset == 0.0 for lane in scenario.lanes)
 
 
 def mc_interference(scenario: Scenario, mc: McConfig) -> McInterference:
     """One aggregate-interference sample per replicate, with summaries.
 
-    The sample mean is suppressed (NaN with a flag) in the worst-case
-    regime where the interference law is heavy-tailed with no mean.
+    The sample mean is suppressed (NaN with a flag) when the interference
+    law is heavy-tailed with no mean, i.e. when some lane has no offset.
     """
     samples, _ = _draw_samples(scenario, mc)
-    suppressed = _levy_regime(scenario)
+    suppressed = _infinite_mean(scenario)
     if suppressed:
         mean = McEstimate(value=math.nan, ci_halfwidth=0.0,
                           replicates=mc.replicates, seed=mc.master_seed)
@@ -179,20 +170,18 @@ def mc_ranging_success(scenario: Scenario, range_grid, mc: McConfig,
     n = noise if noise is not None else scenario.radar.noise_power
     samples, lane_consts = _draw_samples(scenario, mc)
     consts = lane_consts[0]
-    t = scenario.radar.sinr_threshold
+    t = consts.sinr_threshold
     ps = np.empty(grid.shape)
     hw = np.empty(grid.shape)
     denom = samples + n
     for i, r in enumerate(grid):
-        s = (consts.gamma1 * consts.gamma2 * consts.tx_power
-             * r ** (-2.0 * consts.pathloss_exp))
+        s = ranging_signal(consts, r)
         # zero interference-plus-noise means an infinite SINR: a success
         ok = np.where(denom > 0, s >= t * denom, True)
         p = float(np.mean(ok))
         ps[i] = p
         hw[i] = _Z99 * math.sqrt(max(p * (1.0 - p), 1.0 / mc.replicates) / mc.replicates)
-    curve = PerformanceCurve(abscissa=grid, values=ps, kind=CurveKind.PS_VS_RANGE)
-    return McPerformance(curve=curve, ci_halfwidth=hw,
+    return McPerformance(p_success=ps, ci_halfwidth=hw,
                          replicates=mc.replicates, seed=mc.master_seed)
 
 
@@ -264,8 +253,8 @@ def mc_convergence_bl_to_ppp(lambda_i: float, delta_list: Sequence[float],
         all_counts = np.empty((mc.replicates, len(iv)), dtype=int)
         for rep in range(mc.replicates):
             rng = _substream(mc.master_seed, rep)
-            pattern = sample_lattice(lane, access, 0.0, window, rng)
-            all_counts[rep] = count_in_intervals(pattern, iv)
+            positions = sample_lattice(lane, access, 0.0, window, rng)
+            all_counts[rep] = count_in_intervals(positions, iv)
         counts = all_counts.ravel()
         obs, exp = _merged_poisson_bins(counts, mean)
         if obs.size < 2:

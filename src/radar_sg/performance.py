@@ -2,12 +2,11 @@
 
 Everything here is closed-form or a scalar root-find; the only numerics
 are the quadrature fallback for the expected optimal duty cycle at small
-neighbor index and the bisection quantile helper.
+neighbor index.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,40 +17,6 @@ from scipy import special as sp
 
 from . import specfun
 from .model import DerivedConstants, Lane, MediumAccess
-
-
-class CurveKind(enum.Enum):
-    PS_VS_RANGE = "ps_vs_range"
-    BETA_VS_DENSITY = "beta_vs_density"
-    XI_STAR_VS_N = "xi_star_vs_n"
-
-
-@dataclass(frozen=True)
-class PerformanceCurve:
-    """One metric tabulated over an abscissa grid."""
-
-    abscissa: np.ndarray
-    values: np.ndarray
-    kind: CurveKind
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.abscissa, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if a.ndim != 1 or a.size != v.size:
-            raise ValueError("abscissa and values must be 1-d arrays of equal length")
-        if np.any(np.diff(a) <= 0):
-            raise ValueError("abscissa must be strictly increasing")
-        if self.kind != CurveKind.BETA_VS_DENSITY and (np.any(v < 0) or np.any(v > 1)):
-            raise ValueError("probability values must lie in [0, 1]")
-        object.__setattr__(self, "abscissa", a)
-        object.__setattr__(self, "values", v)
-
-    def to_json(self) -> dict:
-        return {
-            "abscissa": [float(v) for v in self.abscissa],
-            "values": [float(v) for v in self.values],
-            "kind": self.kind.value,
-        }
 
 
 @dataclass(frozen=True)
@@ -67,23 +32,6 @@ class OptimizationResult:
         if not 0.0 < self.xi_star <= 1.0:
             raise ValueError(f"xi_star must be in (0, 1], got {self.xi_star}")
 
-    def to_json(self) -> dict:
-        return {
-            "lambda_i_star_per_m": self.lambda_i_star,
-            "xi_star": self.xi_star,
-            "beta_star_per_m": self.beta_star,
-            "clamped": self.clamped,
-        }
-
-
-def sinr(signal: float, interference: float, noise: float) -> float:
-    """S / (I + N)."""
-    if interference < 0 or noise < 0:
-        raise ValueError("interference and noise must be nonnegative")
-    if interference + noise == 0.0:
-        raise ZeroDivisionError("SINR undefined with zero interference and noise")
-    return signal / (interference + noise)
-
 
 def ranging_signal(consts: DerivedConstants, range_r: float) -> float:
     """Two-hop reflected power S = gamma1*gamma2*P0*R^(-2*alpha)."""
@@ -97,13 +45,10 @@ def p_success(cdf, consts: DerivedConstants, range_r: float,
               noise: float = 0.0) -> float:
     """p_s = F_I(S/T - N) for any interference CDF (curve or callable).
 
-    The SINR threshold is recovered from the stored C coefficient, so
-    the same constants drive both the analytic and empirical routes.
     An argument that is not positive means even zero interference cannot
     satisfy the threshold and the probability is 0.
     """
-    threshold = (2.0 * consts.c_coeff) ** 2 * consts.gamma2 / math.pi
-    arg = ranging_signal(consts, range_r) / threshold - noise
+    arg = ranging_signal(consts, range_r) / consts.sinr_threshold - noise
     if arg <= 0.0:
         return 0.0
     return float(np.clip(np.asarray(cdf(arg), dtype=float), 0.0, 1.0))
@@ -112,11 +57,13 @@ def p_success(cdf, consts: DerivedConstants, range_r: float,
 def p_success_wc(consts: DerivedConstants, range_r: float, access: MediumAccess,
                  lane: Lane, noise: float = 0.0) -> float:
     """Worst-case (Levy-regime) success probability with receiver noise:
-    erfc(sqrt((pi/4)*(xi*lambda)^2*gamma1*P0 / (S/T + N)))."""
+    the Levy CDF at x = S/T - N, erfc(sqrt((pi/4)*(xi*lambda)^2*gamma1*P0 / x)),
+    and 0 when x is not positive."""
     lam_i = access.duty_cycle * lane.density
-    threshold = (2.0 * consts.c_coeff) ** 2 * consts.gamma2 / math.pi
-    denom = ranging_signal(consts, range_r) / threshold + noise
-    arg = math.pi / 4.0 * lam_i ** 2 * consts.gamma1 * consts.tx_power / denom
+    x = ranging_signal(consts, range_r) / consts.sinr_threshold - noise
+    if x <= 0.0:
+        return 0.0
+    arg = math.pi / 4.0 * lam_i ** 2 * consts.gamma1 * consts.tx_power / x
     return float(specfun.erfc(math.sqrt(arg)))
 
 
@@ -132,27 +79,24 @@ def p_success_il(consts: DerivedConstants, range_r: float, access: MediumAccess,
     return float(specfun.erfc(consts.big_c(range_r) * lam_i))
 
 
-def spatial_success(lane: Lane, access: MediumAccess, consts: DerivedConstants,
+def spatial_success(lambda_i: float, consts: DerivedConstants,
                     range_r: float) -> float:
     """Density of concurrently successful radars per meter:
-    beta = lambda_I * erfc(C * lambda_I)."""
-    lam_i = access.duty_cycle * lane.density
-    return lam_i * float(specfun.erfc(consts.big_c(range_r) * lam_i))
+    beta = lambda_I * erfc(C * lambda_I), lambda_I = xi * lambda the
+    interferer density."""
+    return lambda_i * math.erfc(consts.big_c(range_r) * lambda_i)
 
 
 @lru_cache(maxsize=None)
-def solve_z0(tol: float = 1e-12) -> float:
+def solve_z0() -> float:
     """Root of erfc(z) = 2*z*exp(-z^2)/sqrt(pi), bracketed in [0.1, 1]."""
-    if tol < 1e-12:
-        raise ValueError(f"tol must be >= 1e-12, got {tol}")
-
     def resid(z):
         return sp.erfc(z) - 2.0 * z * math.exp(-z * z) / math.sqrt(math.pi)
 
     lo, hi = 0.1, 1.0
     if not resid(lo) > 0 > resid(hi):
         raise RuntimeError("z0 bracket lost its sign change")
-    return float(optimize.brentq(resid, lo, hi, xtol=tol))
+    return float(optimize.brentq(resid, lo, hi, xtol=1e-12))
 
 
 def optimal_duty_cycle(lane: Lane, consts: DerivedConstants,
@@ -165,7 +109,7 @@ def optimal_duty_cycle(lane: Lane, consts: DerivedConstants,
     clamped = raw >= 1.0
     xi_star = 1.0 if clamped else raw
     lam_i_star = lane.density * xi_star
-    beta_star = lam_i_star * float(specfun.erfc(big_c * lam_i_star))
+    beta_star = spatial_success(lam_i_star, consts, range_r)
     return OptimizationResult(lambda_i_star=lam_i_star, xi_star=xi_star,
                               beta_star=beta_star, clamped=clamped)
 
@@ -183,8 +127,7 @@ def nn_distance_pdf(lane: Lane, n: int, r) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def expected_optimal_duty_cycle(lane: Lane, consts: DerivedConstants, n: int,
-                                method: str = "auto") -> float:
+def expected_optimal_duty_cycle(lane: Lane, consts: DerivedConstants, n: int) -> float:
     """E[xi*] when the target is the n-th nearest vehicle, R ~ f above.
 
     xi*(R) = min(K / (lambda * R^2), 1) with K = z0 * sqrt(4*gamma2/(pi*T)).
@@ -193,21 +136,27 @@ def expected_optimal_duty_cycle(lane: Lane, consts: DerivedConstants, n: int,
          + Gamma(n)] / Gamma(n);
     the upper incomplete gamma with nonpositive first argument is not
     defined in the real-parameter sense, so n in {1, 2} is served by
-    adaptive quadrature only.
+    adaptive quadrature.
     """
     if n < 1:
         raise ValueError(f"neighbor index must be >= 1, got {n}")
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
+    if n < 3:
+        return _expected_duty_cycle_quadrature(lane, consts, n)
     lam = lane.density
     big_k = consts.big_k
-    if method == "closed" and n < 3:
-        raise ValueError("the closed form needs n >= 3 (Gamma(n-2, .) ill-defined)")
-    if method != "quadrature" and n >= 3:
-        t0 = math.sqrt(big_k * lam)
-        gn = sp.gamma(n)
-        return float((lam * big_k * specfun.gamma_upper(n - 2, t0)
-                      - specfun.gamma_upper(n, t0) + gn) / gn)
+    t0 = math.sqrt(big_k * lam)
+    gn = sp.gamma(n)
+    return float((lam * big_k * specfun.gamma_upper(n - 2, t0)
+                  - specfun.gamma_upper(n, t0) + gn) / gn)
+
+
+def _expected_duty_cycle_quadrature(lane: Lane, consts: DerivedConstants,
+                                    n: int) -> float:
+    """E[xi*] by adaptive quadrature of xi*(R) against the n-th neighbor
+    density, for any n >= 1; the tests also use it as the oracle of the
+    closed form."""
+    lam = lane.density
+    big_k = consts.big_k
 
     def integrand(r):
         return min(big_k / (lam * r * r), 1.0) * nn_distance_pdf(lane, n, r)
@@ -229,20 +178,3 @@ def duty_cycle_asymptote(lane: Lane, consts: DerivedConstants, n: int) -> float:
     if n < 1:
         raise ValueError(f"neighbor index must be >= 1, got {n}")
     return lane.density * consts.big_k / (n * n)
-
-
-def cdf_quantile(curve, p: float, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Bisection quantile of any monotone CDF callable on [lo, hi]."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    flo, fhi = float(curve(lo)), float(curve(hi))
-    if not flo <= p <= fhi:
-        raise ValueError(f"quantile {p} outside the bracketed CDF range "
-                         f"[{flo:.4g}, {fhi:.4g}]")
-    while hi - lo > tol * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if float(curve(mid)) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

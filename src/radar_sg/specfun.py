@@ -8,27 +8,8 @@ zeta below s = 1 is offered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special as sp
-
-
-@dataclass(frozen=True)
-class AccuracyTarget:
-    """Absolute/relative tolerance pair used by the slow-oracle checks."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        for name in ("abs_tol", "rel_tol"):
-            v = getattr(self, name)
-            if not (0.0 < v <= 1e-2):
-                raise ValueError(f"{name} must be in (0, 1e-2], got {v}")
-
-    def check(self, value: float, reference: float) -> bool:
-        return abs(value - reference) <= self.abs_tol + self.rel_tol * abs(reference)
 
 
 def erfc(x):
@@ -72,20 +53,3 @@ def hyp2f1_neg(b_half_alpha: float, z) -> float:
         raise ValueError("hyp2f1_neg is defined for z <= 0 only")
     out = sp.hyp2f1(0.5, b_half_alpha, 1.5, z)
     return float(out) if out.ndim == 0 else out
-
-
-def expint_gen(n_order: float, z: complex) -> complex:
-    """Generalized exponential integral int_1^inf e^(z t) / t^n dt.
-
-    Sign convention: the exponent carries +z*t, so this equals the
-    standard E_n(-z).  The integral diverges for Re(z) > 0, and for
-    purely imaginary z it converges (conditionally) only when n > 1.
-    """
-    z = complex(z)
-    if z.real > 0:
-        raise ValueError(f"expint_gen diverges for Re(z) > 0, got z={z}")
-    if z.real == 0 and z.imag != 0 and n_order <= 1:
-        raise ValueError("expint_gen on the imaginary axis requires order > 1")
-    import mpmath  # no CLI command gets here; the import costs time and ~4 MB
-
-    return complex(mpmath.expint(n_order, -z))

@@ -16,7 +16,8 @@ from radar_sg.interference import (CfSpec, cdf_gil_pelaez, cdf_levy_closed,
 from radar_sg.model import (GeometryKind, Lane, MediumAccess, derive)
 from radar_sg.montecarlo import (McConfig, mc_convergence_bl_to_ppp,
                                  mc_interference, mc_ranging_success)
-from radar_sg.performance import (expected_optimal_duty_cycle,
+from radar_sg.performance import (_expected_duty_cycle_quadrature,
+                                  expected_optimal_duty_cycle,
                                   duty_cycle_asymptote, p_success,
                                   p_success_il, p_success_wc, ranging_signal,
                                   solve_z0)
@@ -138,7 +139,7 @@ def test_criterion_5_ranging_success():
         res = mc_ranging_success(sc, grid,
                                  McConfig(replicates=5000, window=2e6,
                                           master_seed=0))
-        inside = np.abs(res.curve.values - analytic) <= res.ci_halfwidth
+        inside = np.abs(res.p_success - analytic) <= res.ci_halfwidth
         worst_miss = max(worst_miss, int(np.sum(~inside)))
 
     # dominance of the general case (guard delta_o ~ 76 m, 15 deg beam)
@@ -190,10 +191,8 @@ def test_criterion_7_duty_cycle_closed_form():
     for lam in (1 / 25, 1 / 50, 1 / 100):
         lane = Lane(offset=10.0, density=lam)
         for n in range(3, 31):
-            closed = expected_optimal_duty_cycle(lane, consts, n,
-                                                 method="closed")
-            quad = expected_optimal_duty_cycle(lane, consts, n,
-                                               method="quadrature")
+            closed = expected_optimal_duty_cycle(lane, consts, n)
+            quad = _expected_duty_cycle_quadrature(lane, consts, n)
             worst = max(worst, abs(closed - quad))
     lane = Lane(offset=10.0, density=1 / 25)
     ratio = (expected_optimal_duty_cycle(lane, consts, 100)
@@ -238,7 +237,7 @@ def test_criterion_9_determinism():
     ok &= runs[0].tobytes() == runs[2][:1000].tobytes()
     # and the ranging-success path
     curves = [mc_ranging_success(sc, [50.0, 100.0],
-                                 McConfig(replicates=500, master_seed=13)).curve.values
+                                 McConfig(replicates=500, master_seed=13)).p_success
               for _ in range(2)]
     ok &= bool(np.array_equal(curves[0], curves[1]))
     report(9, ok, "samples byte-identical across repeated runs and equal to "

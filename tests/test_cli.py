@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radar_sg
 from radar_sg.cli import (RunSpec, SchemaError, SweepSpec, main,
                           parse_scenario, parse_sweep, run)
 from radar_sg.model import GeometryKind
@@ -22,6 +25,14 @@ def bundled_path(tmp_path) -> str:
     p = tmp_path / "scenario.json"
     p.write_text(bundled_text())
     return str(p)
+
+
+def subprocess_env() -> dict:
+    """Environment in which a child interpreter imports this radar_sg."""
+    src = str(Path(radar_sg.__file__).resolve().parents[1])
+    extra = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + extra if extra else "")}
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +161,20 @@ def test_ps_command_json(tmp_path):
     assert np.all(rows[:, 1] + 1e-4 >= rows[:, 2])
 
 
+def test_ps_mc_descending_sweep_reverses_ascending_rows(tmp_path, capsys):
+    path = bundled_path(tmp_path)
+    runs = []
+    for sweep in ("range:10:250:4", "range:250:10:4"):
+        assert main(["ps", "--scenario", path, "--mc", "--replicates", "200",
+                     "--sweep", sweep]) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    ascending, descending = runs
+    assert descending[0] == ascending[0]
+    assert descending[0].endswith("p_success_mc,ci99_halfwidth")
+    assert len(descending) == 5
+    assert descending[1:] == ascending[1:][::-1]
+
+
 def test_lattice_cdf_never_attempts_talbot(tmp_path, monkeypatch, capsys):
     # the lattice transform is entire, so the Talbot contour always fails;
     # the CLI must go straight to the CF route
@@ -215,7 +240,7 @@ def test_console_script_installed(tmp_path):
         [sys.executable, "-m", "radar_sg.cli", "mean",
          "--scenario", bundled_path(tmp_path),
          "--sweep", "density:0.01:0.02:2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("density,mean_ppp_w,mean_bl_w")
 
@@ -226,7 +251,7 @@ def test_cli_import_leaves_scipy_stats_out():
         [sys.executable, "-c",
          "import sys, radar_sg.cli; "
          "print('scipy.stats' in sys.modules, 'mpmath' in sys.modules)"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False False"
 

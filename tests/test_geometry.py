@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from radar_sg.geometry import (count_in_intervals, euclidean_distances,
-                               sample_lattice, sample_ppp, PointPattern)
+from radar_sg.geometry import count_in_intervals, sample_lattice, sample_ppp
 from radar_sg.model import Lane, MediumAccess
 
 
@@ -14,10 +13,10 @@ ACCESS = MediumAccess(0.1)
 
 def test_ppp_sample_shape_and_support():
     rng = np.random.default_rng(0)
-    pat = sample_ppp(LANE, ACCESS, delta_o=75.0, window=10000.0, rng=rng)
-    assert np.all(pat.positions > 75.0)
-    assert np.all(pat.positions <= 10000.0)
-    assert np.all(np.diff(pat.positions) >= 0)  # sorted
+    pos = sample_ppp(LANE, ACCESS, delta_o=75.0, window=10000.0, rng=rng)
+    assert np.all(pos > 75.0)
+    assert np.all(pos <= 10000.0)
+    assert np.all(np.diff(pos) >= 0)  # sorted
 
 
 def test_ppp_count_mean():
@@ -32,8 +31,8 @@ def test_ppp_count_mean():
 
 def test_ppp_zero_duty_cycle_is_empty():
     rng = np.random.default_rng(2)
-    pat = sample_ppp(LANE, MediumAccess(0.0), 75.0, 10000.0, rng)
-    assert len(pat) == 0
+    pos = sample_ppp(LANE, MediumAccess(0.0), 75.0, 10000.0, rng)
+    assert len(pos) == 0
 
 
 def test_ppp_window_validation():
@@ -45,18 +44,18 @@ def test_ppp_window_validation():
 def test_lattice_shared_translation():
     # with duty cycle 1 every site is kept: consecutive gaps all equal delta
     rng = np.random.default_rng(3)
-    pat = sample_lattice(LANE, MediumAccess(1.0), 0.0, 1000.0, rng)
-    gaps = np.diff(pat.positions)
+    pos = sample_lattice(LANE, MediumAccess(1.0), 0.0, 1000.0, rng)
+    gaps = np.diff(pos)
     assert np.allclose(gaps, 10.0, atol=1e-9)
-    frac = (pat.positions / 10.0) % 1.0
+    frac = (pos / 10.0) % 1.0
     assert np.allclose(frac, frac[0], atol=1e-9)  # one shared translation
 
 
 def test_lattice_strict_guard_cutoff():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        pat = sample_lattice(LANE, MediumAccess(1.0), 75.0, 2000.0, rng)
-        assert np.all(pat.positions > 75.0)
+        pos = sample_lattice(LANE, MediumAccess(1.0), 75.0, 2000.0, rng)
+        assert np.all(pos > 75.0)
 
 
 def test_lattice_retention_mean():
@@ -67,20 +66,12 @@ def test_lattice_retention_mean():
     assert abs(np.mean(counts) - 100.0) < 1.0
 
 
-def test_euclidean_distances():
-    pat = PointPattern(positions=np.array([0.0, 30.0, 40.0]), lane_index=0,
-                       window=100.0)
-    d = euclidean_distances(pat, lane_offset=30.0)
-    assert d == pytest.approx([30.0, np.sqrt(1800.0), 50.0])
-
-
 def test_count_in_intervals():
-    pat = PointPattern(positions=np.array([1.0, 2.0, 2.5, 7.0, 10.0]),
-                       lane_index=0, window=20.0)
-    counts = count_in_intervals(pat, [(0.0, 2.0), (2.0, 5.0), (5.0, 10.0)])
+    pos = np.array([1.0, 2.0, 2.5, 7.0, 10.0])
+    counts = count_in_intervals(pos, [(0.0, 2.0), (2.0, 5.0), (5.0, 10.0)])
     # half-open (lo, hi]: 2.0 falls in the first interval, 10.0 in the third
     assert list(counts) == [2, 1, 2]
     with pytest.raises(ValueError):
-        count_in_intervals(pat, [(0.0, 2.0), (1.0, 3.0)])   # overlap
+        count_in_intervals(pos, [(0.0, 2.0), (1.0, 3.0)])   # overlap
     with pytest.raises(ValueError):
-        count_in_intervals(pat, [(2.0, 2.0)])                # empty
+        count_in_intervals(pos, [(2.0, 2.0)])                # empty

@@ -5,7 +5,6 @@ import pytest
 
 from radar_sg.interference import (aggregate_interference, mean_bl,
                                    mean_ppp_exact, mean_simplified)
-from radar_sg.geometry import PointPattern
 from radar_sg.model import Lane, MediumAccess, derive
 from conftest import make_scenario
 
@@ -85,13 +84,11 @@ def test_means_scale_linearly(default_scenario, default_consts):
 def test_aggregate_interference():
     sc = make_scenario()
     consts = derive(sc, 0)
-    pat = PointPattern(positions=np.array([100.0, 200.0]), lane_index=0,
-                       window=1000.0)
-    v = aggregate_interference(pat, consts, np.array([1.0, 2.0]),
+    pos = np.array([100.0, 200.0])
+    v = aggregate_interference(pos, consts, np.array([1.0, 2.0]),
                                lane_offset=0.0)
     ref = consts.gamma1 * 0.01 * (100.0 ** -2 + 2.0 * 200.0 ** -2)
     assert v == pytest.approx(ref, rel=1e-14)
-    empty = PointPattern(positions=np.empty(0), lane_index=0, window=1.0)
-    assert aggregate_interference(empty, consts, np.empty(0)) == 0.0
+    assert aggregate_interference(np.empty(0), consts, np.empty(0)) == 0.0
     with pytest.raises(ValueError):
-        aggregate_interference(pat, consts, np.array([1.0]))
+        aggregate_interference(pos, consts, np.array([1.0]))

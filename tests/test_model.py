@@ -7,7 +7,7 @@ import pytest
 
 from radar_sg.model import (FadingModel, GeometryKind, Lane, MediumAccess,
                             RadarParams, Scenario, db_to_linear, dbm_to_watts,
-                            derive, linear_to_db)
+                            derive)
 from conftest import make_radar, make_scenario
 
 
@@ -15,7 +15,6 @@ def test_unit_conversions():
     assert dbm_to_watts(10.0) == pytest.approx(0.01, rel=1e-15)
     assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-15)
     assert db_to_linear(45.0) == pytest.approx(10.0 ** 4.5, rel=1e-15)
-    assert linear_to_db(db_to_linear(-7.3)) == pytest.approx(-7.3, abs=1e-12)
 
 
 def test_derived_constants_defaults(default_consts):
@@ -25,6 +24,7 @@ def test_derived_constants_defaults(default_consts):
     assert c.delta_o == pytest.approx(75.95754112725152, rel=1e-12)
     # c_coeff = sqrt(pi*T/(4*gamma2)) collapses to pi/10 here
     assert c.c_coeff == pytest.approx(math.pi / 10.0, rel=1e-12)
+    assert c.sinr_threshold == 10.0
     assert c.z_o == pytest.approx(0.531597, abs=1e-5)
     assert c.big_k == pytest.approx(c.z_o / c.c_coeff, rel=1e-12)
     assert c.big_c(100.0) == pytest.approx(c.c_coeff * 1e4, rel=1e-14)

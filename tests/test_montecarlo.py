@@ -1,5 +1,6 @@
 """Embedded simulator: determinism, estimates, and goodness of fit."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -75,10 +76,19 @@ def test_mc_mean_matches_analytic(default_scenario):
 
 
 def test_mc_mean_suppressed_in_heavy_tail_regime():
-    sc = make_scenario(offset=0.0, beamwidth=math.pi, duty_cycle=0.01)
-    res = mc_interference(sc, McConfig(replicates=200, master_seed=0))
-    assert res.mean_suppressed
-    assert math.isnan(res.mean.value)
+    # a lane with no offset has no guard region, so its nearest interferer
+    # has an infinite mean for every alpha > 1, in either geometry
+    table1 = make_scenario()
+    with_centre_lane = dataclasses.replace(
+        table1, lanes=table1.lanes + (Lane(offset=0.0, density=0.1),))
+    for sc in (make_scenario(offset=0.0, beamwidth=math.pi, duty_cycle=0.01),
+               make_scenario(offset=0.0, pathloss_exp=3.0),
+               make_scenario(offset=0.0, pathloss_exp=3.0,
+                             geometry=GeometryKind.BERNOULLI_LATTICE),
+               with_centre_lane):
+        res = mc_interference(sc, McConfig(replicates=200, master_seed=0))
+        assert res.mean_suppressed
+        assert math.isnan(res.mean.value)
 
 
 def test_mc_lattice_geometry(default_scenario):
@@ -93,7 +103,7 @@ def test_mc_ranging_success_curve(default_scenario):
     grid = [25.0, 50.0, 100.0, 200.0]
     res = mc_ranging_success(default_scenario, grid,
                              McConfig(replicates=1000, master_seed=7))
-    ps = res.curve.values
+    ps = res.p_success
     assert np.all((0.0 <= ps) & (ps <= 1.0))
     assert np.all(np.diff(ps) <= 0)   # success degrades with range
     assert res.ci_halfwidth.shape == (4,)
@@ -115,9 +125,6 @@ def test_convergence_rows_and_monotone_tv():
     # ...and thinning toward the limit shrinks the TV distance
     tv = [r.tv_distance for r in rows]
     assert tv[0] > tv[1] > tv[2]
-    d = rows[0].to_json()
-    assert set(d) == {"spacing_m", "duty_cycle", "chi2", "dof", "p_value",
-                      "tv_distance"}
 
 
 def test_convergence_input_validation():

@@ -8,14 +8,13 @@ from scipy import integrate
 
 from radar_sg.interference import cdf_levy_closed, CfSpec
 from radar_sg.model import Lane, MediumAccess, derive
-from radar_sg.performance import (CurveKind, OptimizationResult,
-                                  PerformanceCurve, cdf_quantile,
+from radar_sg.performance import (OptimizationResult,
+                                  _expected_duty_cycle_quadrature,
                                   duty_cycle_asymptote,
                                   expected_optimal_duty_cycle,
                                   nn_distance_pdf, optimal_duty_cycle,
                                   p_success, p_success_il, p_success_wc,
-                                  ranging_signal, sinr, solve_z0,
-                                  spatial_success)
+                                  ranging_signal, solve_z0, spatial_success)
 from conftest import make_scenario
 
 
@@ -28,9 +27,8 @@ def test_sinr_and_signal(consts):
     s = ranging_signal(consts, 100.0)
     assert s == pytest.approx(consts.gamma1 * consts.gamma2 * 0.01 * 100.0 ** -4,
                               rel=1e-14)
-    assert sinr(s, 1e-6, 1e-7) == pytest.approx(s / 1.1e-6, rel=1e-14)
-    with pytest.raises(ZeroDivisionError):
-        sinr(s, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        ranging_signal(consts, 0.0)
 
 
 def test_solve_z0():
@@ -67,16 +65,28 @@ def test_p_success_general_matches_cdf(consts):
 
 
 def test_p_success_wc_noise_term(consts):
-    # noise enters the closed form through the S/T + N denominator
+    # success needs I <= S/T - N: the worst case is the exact Levy CDF at
+    # S/T - N, falls as the noise grows, and is 0 once N >= S/T
     sc = make_scenario(offset=0.0, beamwidth=math.pi, duty_cycle=0.01)
     c0 = derive(sc, 0)
-    r, n = 100.0, 1e-9
-    s_over_t = ranging_signal(c0, r) / 10.0
     lam_i = 0.001
-    ref = math.erfc(math.sqrt(
-        math.pi / 4.0 * lam_i ** 2 * c0.gamma1 * 0.01 / (s_over_t + n)))
-    assert p_success_wc(c0, r, sc.access, sc.lanes[0], noise=n) == \
-        pytest.approx(ref, rel=1e-12)
+    a2 = math.pi * lam_i ** 2 * c0.gamma1 * c0.tx_power / 4.0
+
+    def exact_cdf(x):
+        return math.erfc(math.sqrt(a2 / x)) if x > 0 else 0.0
+
+    r = 20.0
+    s_over_t = ranging_signal(c0, r) / 10.0
+    values = []
+    for frac in (0.0, 0.1, 0.5, 0.9, 1.0, 2.0):
+        n = frac * s_over_t
+        wc = p_success_wc(c0, r, sc.access, sc.lanes[0], noise=n)
+        assert wc == pytest.approx(p_success(exact_cdf, c0, r, noise=n),
+                                   rel=1e-12)
+        values.append(wc)
+    assert values[0] > 0.5
+    assert all(b < a for a, b in zip(values[:4], values[1:4]))
+    assert values[4] == values[5] == 0.0
 
 
 def test_p_success_il_example(consts):
@@ -113,9 +123,9 @@ def test_spatial_success_and_optimum(consts):
     assert beta(res.lambda_i_star) == pytest.approx(res.beta_star, rel=1e-12)
     assert beta(res.lambda_i_star) > beta(res.lambda_i_star * 1.1)
     assert beta(res.lambda_i_star) > beta(res.lambda_i_star * 0.9)
-    # the lane/access route reports the same density
-    assert spatial_success(lane, MediumAccess(res.xi_star), consts, 100.0
-                           ) == pytest.approx(res.beta_star, rel=1e-12)
+    for li in (0.5 * res.lambda_i_star, res.lambda_i_star, 1e-3):
+        assert spatial_success(li, consts, 100.0) == pytest.approx(
+            beta(li), rel=1e-14)
 
 
 def test_optimal_duty_cycle_clamps(consts):
@@ -141,17 +151,20 @@ def test_nn_distance_pdf_normalizes():
 def test_expected_duty_cycle_routes_agree(consts):
     lane = Lane(offset=10.0, density=0.04)
     for n in (3, 7, 20):
-        closed = expected_optimal_duty_cycle(lane, consts, n, method="closed")
-        quad = expected_optimal_duty_cycle(lane, consts, n,
-                                           method="quadrature")
+        closed = expected_optimal_duty_cycle(lane, consts, n)
+        quad = _expected_duty_cycle_quadrature(lane, consts, n)
         assert closed == pytest.approx(quad, abs=1e-8)
         assert 0.0 < closed <= 1.0
 
 
 def test_expected_duty_cycle_small_n(consts):
     lane = Lane(offset=10.0, density=0.04)
+    # below n = 3 the closed form is undefined and quadrature serves
+    for n in (1, 2):
+        assert expected_optimal_duty_cycle(lane, consts, n) == \
+            _expected_duty_cycle_quadrature(lane, consts, n)
     with pytest.raises(ValueError):
-        expected_optimal_duty_cycle(lane, consts, 2, method="closed")
+        expected_optimal_duty_cycle(lane, consts, 0)
     v1 = expected_optimal_duty_cycle(lane, consts, 1)
     v2 = expected_optimal_duty_cycle(lane, consts, 2)
     v3 = expected_optimal_duty_cycle(lane, consts, 3)
@@ -165,26 +178,3 @@ def test_duty_cycle_asymptote(consts):
     ratio = (expected_optimal_duty_cycle(lane, consts, 100)
              / duty_cycle_asymptote(lane, consts, 100))
     assert 0.9 < ratio < 1.1
-
-
-def test_performance_curve_container():
-    c = PerformanceCurve(abscissa=np.array([1.0, 2.0]),
-                         values=np.array([0.9, 0.5]),
-                         kind=CurveKind.PS_VS_RANGE)
-    assert c.kind.value == "ps_vs_range"
-    with pytest.raises(ValueError):
-        PerformanceCurve(abscissa=np.array([1.0, 2.0]),
-                         values=np.array([0.5, 1.5]),
-                         kind=CurveKind.PS_VS_RANGE)
-
-
-def test_cdf_quantile_roundtrip():
-    grid = np.linspace(0.01, 10.0, 500)
-    from radar_sg.interference import DistributionCurve, InversionMethod
-    curve = DistributionCurve(grid=grid, cdf=1.0 - np.exp(-grid),
-                              method=InversionMethod.EMPIRICAL,
-                              tolerance=1e-12)
-    x = cdf_quantile(curve, 0.5, 0.01, 10.0)
-    assert x == pytest.approx(math.log(2.0), abs=1e-3)
-    with pytest.raises(ValueError):
-        cdf_quantile(curve, 1.5, 0.01, 10.0)
