@@ -211,16 +211,10 @@ def parse_sweep(text: str) -> SweepSpec:
 # ---------------------------------------------------------------------------
 
 def _analytic_mean(scenario: Scenario, kind: GeometryKind) -> float:
-    total = 0.0
-    for i, lane in enumerate(scenario.lanes):
-        ci = derive(scenario, i)
-        if kind == GeometryKind.BERNOULLI_LATTICE:
-            total += itf.mean_bl(ci, lane, scenario.access)
-        elif lane.offset > 0:
-            total += itf.mean_ppp_exact(ci, lane, scenario.access)
-        else:
-            total += itf.mean_simplified(ci, lane, scenario.access)
-    return total
+    mean = (itf.mean_bl if kind == GeometryKind.BERNOULLI_LATTICE
+            else itf.mean_ppp_exact)
+    return sum(mean(derive(scenario, i), lane, scenario.access)
+               for i, lane in enumerate(scenario.lanes))
 
 
 def _cmd_mean(scenario: Scenario, spec: RunSpec):
@@ -267,7 +261,9 @@ def _cmd_ps(scenario: Scenario, spec: RunSpec):
         raise ValueError("the ps command sweeps 'range' only")
     grid = sweep.grid()
     consts = derive(scenario, 0)
-    lane = scenario.lanes[0]
+    # independent lanes add their Levy exponents: the worst case sees one
+    # lane carrying the summed density
+    pooled = Lane(offset=0.0, density=sum(lane.density for lane in scenario.lanes))
     noise = scenario.radar.noise_power
     args = np.array([perf.ranging_signal(consts, float(r)) / consts.sinr_threshold
                      - noise for r in grid])
@@ -277,7 +273,7 @@ def _cmd_ps(scenario: Scenario, spec: RunSpec):
         xs = np.unique(args[pos])
         curve = itf.interference_cdf(itf.CfSpec.from_scenario(scenario), xs)
         general[pos] = curve(args[pos])
-    worst = np.array([perf.p_success_wc(consts, float(r), scenario.access, lane, noise)
+    worst = np.array([perf.p_success_wc(consts, float(r), scenario.access, pooled, noise)
                       for r in grid])
     header = ["range_m", "p_success_general", "p_success_worst_case"]
     rows = [[r, g, w] for r, g, w in zip(grid, general, worst)]

@@ -1,8 +1,10 @@
 """Analytic interference statistics for the two road-geometry models.
 
-Means, characteristic functions, Laplace transforms and CDFs.  The PPP
-characteristic function and the lattice Laplace transform are evaluated
-with oscillation-aware quadrature.
+Means, characteristic functions, Laplace transforms and CDFs.  Both
+models have one mean, Campbell's integral of the path loss beyond the
+guard distance: the uniformly translated lattice is stationary, like the
+PPP.  The PPP characteristic function and the lattice Laplace transform
+are evaluated with oscillation-aware quadrature.
 
 `interference_cdf` is the one CF-to-CDF pipeline: the Levy closed form in
 the worst-case regime, otherwise the PPP or lattice CF, scanned for its
@@ -112,21 +114,15 @@ class CfSpec:
     fading: FadingModel
 
     @classmethod
-    def from_scenario(cls, scenario: Scenario, neglect_offset: bool = False) -> "CfSpec":
-        lanes = []
-        for i, lane in enumerate(scenario.lanes):
-            c = derive(scenario, i)
-            lanes.append(LaneProcess(
-                density=lane.density,
-                duty_cycle=scenario.access.duty_cycle,
-                delta_o=c.delta_o,
-                offset=0.0 if neglect_offset else lane.offset,
-            ))
-        consts0 = derive(scenario, 0)
+    def from_scenario(cls, scenario: Scenario) -> "CfSpec":
+        consts = [derive(scenario, i) for i in range(len(scenario.lanes))]
         return cls(
             geometry=scenario.geometry_kind,
-            lanes=tuple(lanes),
-            point_scale=consts0.gamma1 * scenario.radar.tx_power,
+            lanes=tuple(LaneProcess(density=lane.density,
+                                    duty_cycle=scenario.access.duty_cycle,
+                                    delta_o=c.delta_o, offset=lane.offset)
+                        for lane, c in zip(scenario.lanes, consts)),
+            point_scale=consts[0].gamma1 * scenario.radar.tx_power,
             alpha=scenario.radar.pathloss_exp,
             fading=scenario.fading,
         )
@@ -154,13 +150,19 @@ def _tail_integral(lower: float, alpha: float, offset: float) -> float:
         if lower <= 0.0:
             raise ValueError("tail integral diverges at 0 when the offset is 0")
         return lower ** (1.0 - alpha) / (alpha - 1.0)
-    if lower > 100.0 * offset:
-        # the offset is a small correction here; the exact closed form
-        # would subtract two nearly equal numbers
-        r = offset / lower
-        return (lower ** (1.0 - alpha) / (alpha - 1.0)
-                * (1.0 - (alpha - 1.0) * alpha * r * r / (2.0 * (alpha + 1.0))
-                   + (alpha - 1.0) * alpha * (alpha + 2.0) * r ** 4 / (8.0 * (alpha + 3.0))))
+    if lower >= 2.0 * offset:
+        # binomial series in (L/lower)^2 <= 1/4, summed to convergence:
+        # sum_k C(-alpha/2, k) L^(2k) lower^(1-alpha-2k) / (alpha-1+2k);
+        # the closed form below would subtract two nearly equal numbers
+        r2 = (offset / lower) ** 2
+        coef, total, k = 1.0, 0.0, 0
+        while True:
+            term = coef / (alpha - 1.0 + 2.0 * k)
+            total += term
+            if abs(term) <= 1e-17 * abs(total):
+                return lower ** (1.0 - alpha) * total
+            k += 1
+            coef *= -(alpha / 2.0 + k - 1.0) / k * r2
     total = (math.sqrt(math.pi) / 2.0 * sp.gamma((alpha - 1.0) / 2.0)
              / sp.gamma(alpha / 2.0) * offset ** (1.0 - alpha))
     if lower <= 0.0:
@@ -170,74 +172,41 @@ def _tail_integral(lower: float, alpha: float, offset: float) -> float:
     return total - head
 
 
-def mean_ppp_exact(consts: DerivedConstants, lane: Lane, access: MediumAccess) -> float:
-    """Campbell mean of the PPP interference including the lane offset."""
-    alpha = consts.pathloss_exp
-    ln = lane.offset
-    if ln <= 0:
-        raise ValueError("mean_ppp_exact needs a positive lane offset; "
-                         "use mean_simplified for L_n = 0")
-    lam_i = access.duty_cycle * lane.density
-    bracket = (2.0 * math.sqrt(math.pi) * ln * sp.gamma((alpha + 3.0) / 2.0)
-               / ((alpha * alpha - 1.0) * sp.gamma(alpha / 2.0))
-               - consts.delta_o * specfun.hyp2f1_neg(
-                   alpha / 2.0, -(consts.delta_o / ln) ** 2))
-    return lam_i * consts.gamma1 * consts.tx_power * ln ** (-alpha) * bracket
+def _campbell_mean(consts: DerivedConstants, density: float, access: MediumAccess,
+                   offset: float) -> float:
+    """Campbell's theorem for a stationary lane of interferer density
+    xi*lambda: xi*lambda*gamma1*P0 * int_delta_o^inf (v^2+L^2)^(-alpha/2) dv.
 
-
-def mean_simplified(consts: DerivedConstants, lane: Lane, access: MediumAccess) -> float:
-    """Closed-form mean with the lane offset neglected:
-    xi*lambda*gamma1*P0 / ((alpha-1) * delta_o^(alpha-1))."""
-    alpha = consts.pathloss_exp
-    if alpha <= 1:
-        raise ValueError("mean is finite only for alpha > 1")
-    if consts.delta_o <= 0:
-        raise ValueError("mean_simplified needs delta_o > 0")
-    lam_i = access.duty_cycle * lane.density
-    return (lam_i * consts.gamma1 * consts.tx_power
-            / ((alpha - 1.0) * consts.delta_o ** (alpha - 1.0)))
-
-
-def mean_bl(consts: DerivedConstants, lane: Lane, access: MediumAccess,
-            use_zeta: bool = False) -> float:
-    """Mean interference of the translated Bernoulli lattice.
-
-    For a zero lane offset the closed form collapses to the PPP value.
-    With ``use_zeta`` the Hurwitz-zeta difference route is taken instead
-    of the telescoped power (requires alpha > 2 for zeta convergence).
+    It holds for the PPP and for the uniformly translated lattice alike.
     """
     alpha = consts.pathloss_exp
     if alpha <= 1:
         raise ValueError("mean is finite only for alpha > 1")
-    xi = access.duty_cycle
-    if xi == 0.0:
-        return 0.0
-    delta = lane.spacing
-    scale = xi * consts.gamma1 * consts.tx_power
-    if lane.offset == 0.0:
-        if consts.delta_o <= 0:
-            raise ValueError("lattice mean diverges when delta_o = 0 and L_n = 0")
-        big_a = consts.delta_o / delta
-        if use_zeta:
-            if alpha <= 2:
-                raise ValueError("the zeta route needs alpha > 2")
-            bracket = (specfun.hurwitz_zeta(alpha - 1.0, big_a)
-                       - specfun.hurwitz_zeta(alpha - 1.0, big_a + 1.0))
-        else:
-            bracket = big_a ** (1.0 - alpha)
-        return scale * delta ** (-alpha) * bracket / (alpha - 1.0)
-    # positive offset: numeric expectation over the shared translation
-    xg, wg = _gl(33)
-    u = 0.5 * (xg + 1.0)
-    w = 0.5 * wg
-    n_terms = max(64, int(2e4 / delta))
-    m = np.arange(n_terms)
-    d2 = lane.offset ** 2 + (consts.delta_o + (m[None, :] + u[:, None]) * delta) ** 2
-    body = float(w @ np.sum(d2 ** (-alpha / 2.0), axis=1))
-    # Euler-Maclaurin closure of the site sum, averaged over the translation
-    v0 = consts.delta_o + (n_terms + u) * delta
-    tail = float(w @ _tail_sum(v0, alpha, lane.offset, delta, 1.0))
-    return scale * (body + tail)
+    if consts.delta_o <= 0 and offset <= 0:
+        raise ValueError("a lane with offset 0 has no guard region, so its mean "
+                         "interference is infinite; give it a positive offset_m")
+    return (access.duty_cycle * density * consts.gamma1 * consts.tx_power
+            * _tail_integral(consts.delta_o, alpha, offset))
+
+
+def mean_ppp_exact(consts: DerivedConstants, lane: Lane, access: MediumAccess) -> float:
+    """Mean PPP interference including the lane offset (Campbell)."""
+    return _campbell_mean(consts, lane.density, access, lane.offset)
+
+
+def mean_simplified(consts: DerivedConstants, lane: Lane, access: MediumAccess) -> float:
+    """Mean with the lane offset neglected:
+    xi*lambda*gamma1*P0 / ((alpha-1) * delta_o^(alpha-1))."""
+    return _campbell_mean(consts, lane.density, access, 0.0)
+
+
+def mean_bl(consts: DerivedConstants, lane: Lane, access: MediumAccess) -> float:
+    """Mean interference of the translated Bernoulli lattice.
+
+    The uniform translation makes the lattice stationary with intensity
+    xi/delta, so Campbell's theorem gives the PPP mean at the same density.
+    """
+    return _campbell_mean(consts, lane.density, access, lane.offset)
 
 
 # ---------------------------------------------------------------------------

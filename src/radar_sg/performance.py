@@ -58,7 +58,8 @@ def p_success_wc(consts: DerivedConstants, range_r: float, access: MediumAccess,
                  lane: Lane, noise: float = 0.0) -> float:
     """Worst-case (Levy-regime) success probability with receiver noise:
     the Levy CDF at x = S/T - N, erfc(sqrt((pi/4)*(xi*lambda)^2*gamma1*P0 / x)),
-    and 0 when x is not positive."""
+    and 0 when x is not positive.  Independent lanes add their Levy
+    exponents, so several lanes are one lane of the summed density."""
     lam_i = access.duty_cycle * lane.density
     x = ranging_signal(consts, range_r) / consts.sinr_threshold - noise
     if x <= 0.0:

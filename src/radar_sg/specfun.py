@@ -2,8 +2,7 @@
 
 Only the signatures actually used by the closed forms are exposed; in
 particular the Gauss hypergeometric function is pinned to the
-(1/2, a/2; 3/2; z<=0) shape and no analytic continuation of the Hurwitz
-zeta below s = 1 is offered.
+(1/2, a/2; 3/2; z<=0) shape.
 """
 
 from __future__ import annotations
@@ -33,17 +32,8 @@ def gamma_upper(a: float, x) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def hurwitz_zeta(s: float, a: float) -> float:
-    """Hurwitz zeta sum_{m>=0} (m+a)^-s for s > 1, a > 0."""
-    if s <= 1:
-        raise ValueError(f"hurwitz_zeta requires s > 1, got s={s}")
-    if a <= 0:
-        raise ValueError(f"hurwitz_zeta requires a > 0, got a={a}")
-    return float(sp.zeta(s, a))
-
-
 def hyp2f1_neg(b_half_alpha: float, z) -> float:
-    """2F1(1/2, b; 3/2; z) for z <= 0, the only shape the mean formula needs.
+    """2F1(1/2, b; 3/2; z) for z <= 0, the only shape the tail integral needs.
 
     scipy applies the argument transformations needed for convergence at
     large negative z; the wrapper only enforces the restricted domain.

@@ -19,11 +19,10 @@ from conftest import make_scenario
 from oracles import cf_ppp_ln0
 
 
-def spec_for(density=0.1, duty_cycle=0.1, offset=10.0, neglect_offset=False,
-             **kw):
+def spec_for(density=0.1, duty_cycle=0.1, offset=10.0, **kw):
     sc = make_scenario(density=density, duty_cycle=duty_cycle, offset=offset,
                        **kw)
-    return CfSpec.from_scenario(sc, neglect_offset=neglect_offset)
+    return CfSpec.from_scenario(sc)
 
 
 # ---------------------------------------------------------------------------

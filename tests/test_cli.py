@@ -161,6 +161,24 @@ def test_ps_command_json(tmp_path):
     assert np.all(rows[:, 1] + 1e-4 >= rows[:, 2])
 
 
+def test_ps_worst_case_pools_every_lane(tmp_path, capsys):
+    # independent lanes add their Levy exponents, so two lanes at 0.1/m
+    # have the worst case of one lane at 0.2/m
+    doc = json.loads(bundled_text())
+    columns = []
+    for lanes in ([{"offset_m": 10.0, "density_per_m": 0.1},
+                   {"offset_m": 14.0, "density_per_m": 0.1}],
+                  [{"offset_m": 10.0, "density_per_m": 0.2}]):
+        doc["lanes"] = lanes
+        path = tmp_path / "lanes.json"
+        path.write_text(json.dumps(doc))
+        assert main(["ps", "--scenario", str(path), "--sweep", "range:20:100:3"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        columns.append([float(row.split(",")[2]) for row in rows])
+    assert columns[1][0] > 0.0
+    assert columns[0] == pytest.approx(columns[1], rel=1e-12, abs=0.0)
+
+
 def test_ps_mc_descending_sweep_reverses_ascending_rows(tmp_path, capsys):
     path = bundled_path(tmp_path)
     runs = []
@@ -225,6 +243,17 @@ def test_error_goes_to_stderr_as_json(tmp_path, capsys):
     doc = json.loads(err)
     assert doc["error"] == "FileNotFoundError"
     assert "missing.json" in doc["message"]
+    # a lane with offset 0 has no guard region: the mean is infinite, which
+    # JSON cannot encode, so it is an error that names the input
+    doc = json.loads(bundled_text())
+    doc["lanes"] = [{"offset_m": 0.0, "density_per_m": 0.1}]
+    path = tmp_path / "zero_offset.json"
+    path.write_text(json.dumps(doc))
+    assert run(RunSpec(scenario_path=str(path), command="mean")) == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "ValueError"
+    assert "offset 0" in doc["message"] and "infinite" in doc["message"]
+    assert "mean_" not in doc["message"]
 
 
 def test_main_rejects_bad_sweep(tmp_path, capsys):

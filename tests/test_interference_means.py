@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from radar_sg.interference import (aggregate_interference, mean_bl,
-                                   mean_ppp_exact, mean_simplified)
+from radar_sg.interference import (_tail_integral, aggregate_interference,
+                                   mean_bl, mean_ppp_exact, mean_simplified)
 from radar_sg.model import Lane, MediumAccess, derive
 from conftest import make_scenario
+from oracles import tail_integral_mp
 
 
 def test_mean_simplified_default(default_scenario, default_consts):
@@ -24,12 +25,16 @@ def test_mean_exact_quadrature_oracle():
 
 
 def test_mean_exact_requires_offset():
-    # the exact form is offset-specific; the no-offset case is served by
-    # the simplified form
+    # at L = 0 the Campbell mean is the simplified form; with no guard
+    # region either (delta_o = L = 0) the mean is infinite and refused
     sc = make_scenario()
     consts = derive(sc, 0)
-    with pytest.raises(ValueError):
-        mean_ppp_exact(consts, Lane(offset=0.0, density=0.1), sc.access)
+    lane0 = Lane(offset=0.0, density=0.1)
+    assert mean_ppp_exact(consts, lane0, sc.access) == pytest.approx(
+        mean_simplified(consts, lane0, sc.access), rel=1e-15, abs=0.0)
+    no_guard = derive(make_scenario(offset=0.0), 0)
+    with pytest.raises(ValueError, match="infinite"):
+        mean_ppp_exact(no_guard, lane0, sc.access)
 
 
 def test_mean_exact_offset_continuity():
@@ -55,21 +60,33 @@ def test_mean_bl_matches_ppp_without_offset(default_consts, default_scenario):
     assert bl == pytest.approx(ppp, rel=1e-12)
 
 
-def test_mean_bl_zeta_route_agrees():
-    # the Hurwitz-zeta route needs alpha > 2; the guard distance comes
-    # from the scenario while the summed lane has no transverse offset
-    sc = make_scenario(pathloss_exp=3.0)
-    consts = derive(sc, 0)
-    lane0 = Lane(offset=0.0, density=0.1)
-    a = mean_bl(consts, lane0, sc.access, use_zeta=False)
-    b = mean_bl(consts, lane0, sc.access, use_zeta=True)
-    assert a == pytest.approx(b, rel=1e-10)
+def test_mean_bl_campbell_oracle():
+    # the translated lattice is stationary with intensity xi/delta, so its
+    # mean is Campbell's integral, here by 30-digit quadrature; lane offsets
+    # far below the spacing make the nearest site's term sharply peaked in
+    # the translation
+    for offset in (1e-3, 1e-2):
+        for spacing in (10.0, 200.0):
+            for alpha in (2.0, 3.0):
+                sc = make_scenario(density=1.0 / spacing, offset=offset,
+                                   pathloss_exp=alpha)
+                c = derive(sc, 0)
+                ref = (sc.access.duty_cycle / spacing * c.gamma1 * c.tx_power
+                       * tail_integral_mp(c.delta_o, alpha, offset))
+                assert mean_bl(c, sc.lanes[0], sc.access) == pytest.approx(
+                    ref, rel=1e-10, abs=0.0), (offset, spacing, alpha)
 
 
-def test_mean_bl_zeta_route_domain(default_consts, default_scenario):
-    with pytest.raises(ValueError):
-        mean_bl(default_consts, Lane(0.0, 0.1), default_scenario.access,
-                use_zeta=True)  # alpha = 2 not > 2
+def test_tail_integral_mpmath_oracle():
+    # the series and closed-form branches meet at lower = 2 * offset; at
+    # lower/offset = 99 and alpha = 9 a difference of the closed form's two
+    # terms keeps no correct digit
+    offset = 1.3
+    for alpha in (1.5, 2.0, 3.0, 4.0, 6.0, 9.0):
+        for q in (0.0, 0.5, 7.6, 30.0, 60.0, 99.0, 101.0, 1000.0):
+            ref = tail_integral_mp(q * offset, alpha, offset)
+            assert _tail_integral(q * offset, alpha, offset) == pytest.approx(
+                ref, rel=1e-12, abs=0.0), (alpha, q)
 
 
 def test_means_scale_linearly(default_scenario, default_consts):

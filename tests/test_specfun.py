@@ -38,21 +38,6 @@ def test_gamma_upper_domain():
         specfun.gamma_upper(2.0, -1.0)
 
 
-def test_hurwitz_zeta_oracle():
-    # mpmath zeta(s, a) oracle values, frozen
-    assert specfun.hurwitz_zeta(3.0, 2.0) == pytest.approx(
-        0.2020569031595943, rel=1e-13)
-    assert specfun.hurwitz_zeta(2.5, 0.7) == pytest.approx(
-        2.902867577757346, rel=1e-13)
-
-
-def test_hurwitz_zeta_domain():
-    with pytest.raises(ValueError):
-        specfun.hurwitz_zeta(1.0, 1.0)
-    with pytest.raises(ValueError):
-        specfun.hurwitz_zeta(2.0, 0.0)
-
-
 def test_hyp2f1_neg_arctan_identity():
     # 2F1(1/2, 1; 3/2; -w^2) = arctan(w)/w
     for w in (0.3, 1.0, 4.0, 25.0):
