@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from radar_sg.interference import (_tail_integral, aggregate_interference,
-                                   mean_bl, mean_ppp_exact, mean_simplified)
+from radar_sg.interference import (_tail_integral, _tail_sum,
+                                   aggregate_interference, mean_bl,
+                                   mean_ppp_exact, mean_simplified)
 from radar_sg.model import Lane, MediumAccess, derive
 from conftest import make_scenario
 from oracles import tail_integral_mp
@@ -87,6 +88,33 @@ def test_tail_integral_mpmath_oracle():
             ref = tail_integral_mp(q * offset, alpha, offset)
             assert _tail_integral(q * offset, alpha, offset) == pytest.approx(
                 ref, rel=1e-12, abs=0.0), (alpha, q)
+
+
+def _tail_sum_scalar(v0, alpha, ln, delta, scale):
+    # the per-node loop _tail_sum replaced
+    flat = np.asarray(v0, dtype=float).ravel()
+    out = np.empty(flat.shape)
+    for i, v in enumerate(flat):
+        f0 = (v * v + ln * ln) ** (-alpha / 2.0)
+        fp0 = -alpha * delta * v * (v * v + ln * ln) ** (-alpha / 2.0 - 1.0)
+        out[i] = _tail_integral(v, alpha, ln) / delta + 0.5 * f0 - fp0 / 12.0
+    return scale * out
+
+
+def test_tail_sum_matches_scalar_loop_bit_for_bit():
+    # offset 0; lower >= 2 * offset (the series, whose elements stop at
+    # different terms); lower < 2 * offset (the closed form), mixed with
+    # the series in one call as at a lattice's first sites
+    u = np.linspace(0.0, 1.0, 96)
+    cases = [(0.0, 75.96 + (16.0 + u) * 10.0),
+             (10.0, 75.96 + (16.0 + u) * 10.0),
+             (10.0, np.geomspace(20.0, 1e5, 96)),
+             (10.0, np.linspace(0.5, 40.0, 96))]
+    for alpha in (2.0, 2.7, 4.0, 6.0):
+        for ln, v0 in cases:
+            got = _tail_sum(v0, alpha, ln, 10.0, 0.97)
+            assert np.array_equal(got, _tail_sum_scalar(v0, alpha, ln, 10.0, 0.97)), \
+                (alpha, ln)
 
 
 def test_means_scale_linearly(default_scenario, default_consts):

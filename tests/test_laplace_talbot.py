@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from radar_sg.interference import (CfSpec, ContourError, InversionMethod,
-                                   cdf_bl_talbot, cdf_from_laplace_talbot,
-                                   cf_bl, laplace_bl)
+                                   _bernoulli_log_factor, cdf_bl_talbot,
+                                   cdf_from_laplace_talbot, cf_bl, laplace_bl)
 from radar_sg.model import GeometryKind
 from conftest import make_scenario
+from oracles import cf_bl_brute
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +26,34 @@ def test_laplace_bl_brute_product_oracle(bl_spec):
         0.5673836444848173 + 0j, abs=5e-7)
     assert complex(laplace_bl(bl_spec, 3000.0 + 4000.0j)) == pytest.approx(
         0.6103514807410995 - 0.2851939715821402j, abs=5e-7)
+
+
+def test_cf_bl_imaginary_axis_brute_product_oracle(bl_spec):
+    # one omega per decade up to the 1e-12 decay cut at 5.8e6, where the
+    # near-field panel count and the far-field spline are largest; the
+    # code's second-order site tail leaves up to 5.3e-6 relative there
+    for w in (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 5e6):
+        expected = cf_bl_brute(bl_spec, w)
+        assert complex(cf_bl(bl_spec, w)) == pytest.approx(expected, rel=1e-5, abs=0)
+
+
+def test_bernoulli_log_factor_matches_complex_log():
+    # xi > 1/2 makes 1 - xi + xi cos(theta) negative, where atan2 must
+    # follow the principal log; at xi = 1/2 the factor nearly vanishes
+    # near odd multiples of pi
+    theta = np.linspace(0.0, 1e4, 200_001)
+    for xi in (0.01, 0.1, 0.5, 0.9, 1.0):
+        re, im = _bernoulli_log_factor(theta, xi)
+        ref = np.log((1.0 - xi) + xi * np.exp(1j * theta))
+        assert np.max(np.abs(re - ref.real)) <= 1e-13, xi
+        assert np.max(np.abs(im - ref.imag)) <= 1e-13, xi
+
+
+def test_cf_bl_real_path_matches_complex_path(bl_spec):
+    # a real part of 1e-300 sends laplace_bl down the complex-arithmetic path
+    for w in (1e3, 1e5, 5e6):
+        assert complex(cf_bl(bl_spec, w)) == pytest.approx(
+            complex(laplace_bl(bl_spec, complex(1e-300, -w))), rel=1e-12, abs=0)
 
 
 def test_laplace_bl_basic_properties(bl_spec):
