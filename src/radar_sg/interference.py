@@ -9,11 +9,12 @@ where the lattice characteristic function lives, each site's log factor
 log(1 - xi + xi e^(j theta)) is evaluated in real arithmetic.
 
 `interference_cdf` is the one CF-to-CDF pipeline: the Levy closed form in
-the worst-case regime, otherwise the PPP or lattice CF, scanned for its
-decay point (`cf_decay_cutoff`), replaced by a band-limited spline
-surrogate (`tabulated_cf`) and inverted by the Gil-Pelaez formula on
-fixed composite Gauss-Legendre nodes.  The surrogate size doubles on
-nested grids until the curve stops moving by more than a tenth of the
+the worst-case regime, otherwise the PPP or lattice CF, cut where its
+estimated dropped Gil-Pelaez tail falls to a hundredth of the tolerance
+(`cf_decay_cutoff`), replaced by a band-limited spline surrogate
+(`tabulated_cf`) and inverted by the Gil-Pelaez formula on fixed
+composite Gauss-Legendre nodes.  The surrogate size doubles on nested
+grids until the curve stops moving by more than a tenth of the
 tolerance.  The adaptive `cdf_gil_pelaez` remains for arbitrary CFs,
 including ones that never decay.
 """
@@ -165,13 +166,12 @@ def _tail_integral(lower: float, alpha: float, offset: float) -> float:
                 return lower ** (1.0 - alpha) * total
             k += 1
             coef *= -(alpha / 2.0 + k - 1.0) / k * r2
-    total = (math.sqrt(math.pi) / 2.0 * sp.gamma((alpha - 1.0) / 2.0)
-             / sp.gamma(alpha / 2.0) * offset ** (1.0 - alpha))
-    if lower <= 0.0:
-        return total
-    head = lower * offset ** (-alpha) * specfun.hyp2f1_neg(
-        alpha / 2.0, -(lower / offset) ** 2)
-    return total - head
+    # v = L * sqrt(1/t - 1) turns the integral into the incomplete beta
+    # function (1/2) B(a, 1/2) I_x(a, 1/2) L^(1-alpha), a = (alpha-1)/2, at
+    # x = L^2 / (L^2 + lower^2); no difference of nearly equal terms
+    a = (alpha - 1.0) / 2.0
+    x = 1.0 if lower <= 0.0 else offset * offset / (offset * offset + lower * lower)
+    return 0.5 * sp.beta(a, 0.5) * sp.betainc(a, 0.5, x) * offset ** (1.0 - alpha)
 
 
 def _campbell_mean(consts: DerivedConstants, density: float, access: MediumAccess,
@@ -504,8 +504,8 @@ def tabulated_cf(cf: Callable, omega_lo: float, omega_hi: float,
 
     The log-CF is interpolated over a log-omega grid; below the grid the
     two smallest samples fix a local power law, beyond it the CF is
-    treated as fully decayed.  Intended for CFs whose modulus reaches
-    ~1e-12 by omega_hi (locate that point with cf_decay_cutoff first).
+    treated as fully decayed.  Intended for CFs whose dropped tail past
+    omega_hi is negligible (locate that point with cf_decay_cutoff first).
     """
     from scipy.interpolate import CubicSpline
 
@@ -550,23 +550,51 @@ def tabulated_cf(cf: Callable, omega_lo: float, omega_hi: float,
     return interp
 
 
-def cf_decay_cutoff(cf: Callable, omega_lo: float, omega_hi: float,
-                    threshold: float = 1e-12) -> float:
-    """Smallest omega (on a 12/decade log scan) with |cf| below threshold.
+_SCAN_FLOOR = 1e-12  # the decay scan stops once |cf| falls below this
 
-    Scans sequentially and stops at the first hit, so expensive CFs are
-    never evaluated far beyond their decay point.
+
+def _dropped_tails(mag: np.ndarray, dlog: float) -> np.ndarray:
+    """Estimates of the dropped Gil-Pelaez tail (1/pi) int_(w_k)^inf |cf|/w dw
+    at every point w_k of a log scan with step dlog, given |cf| there.
+
+    The samples past w_k are summed by the trapezoid rule in log w, which
+    over-estimates where the decay is convex in log w; past the last sample
+    |cf| follows the power law of the last two samples, w^(-p), whose tail
+    is |cf_last|/p (infinite when the last step did not decay).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = float(np.log(mag[-2] / mag[-1])) / dlog
+    beyond = mag[-1] / p if p > 0.0 else np.inf
+    panels = 0.5 * dlog * (mag[:-1] + mag[1:])
+    return (np.append(np.cumsum(panels[::-1])[::-1], 0.0) + beyond) / math.pi
+
+
+def cf_decay_cutoff(cf: Callable, omega_lo: float, omega_hi: float,
+                    budget: float) -> float:
+    """Smallest omega of a 12/decade log scan whose dropped Gil-Pelaez tail,
+    (1/pi) int_omega^inf |cf(w)|/w dw, is estimated at most `budget`.
+
+    Scans sequentially from omega_lo and stops once |cf| < 1e-12 (or at
+    omega_hi), so expensive CFs are never evaluated far beyond their decay
+    point; the tail past every scan point is then estimated from the
+    samples after it (`_dropped_tails`).  Raises QuadratureError when no
+    scan point meets the budget, as for a CF that never decays.
     """
     n = max(2, int(np.ceil(12.0 * np.log10(omega_hi / omega_lo))) + 1)
-    worst = np.inf
-    for om in np.geomspace(omega_lo, omega_hi, n):
-        m = abs(complex(np.asarray(cf(om)).reshape(())))
-        worst = min(worst, m)
-        if m < threshold:
-            return float(om)
-    raise QuadratureError(
-        f"|cf| never fell below {threshold} up to omega = {omega_hi:.3e} "
-        f"(min {worst:.3e})")
+    omegas = np.geomspace(omega_lo, omega_hi, n)
+    mag = []
+    for om in omegas:
+        mag.append(abs(complex(np.asarray(cf(om)).reshape(()))))
+        if mag[-1] < _SCAN_FLOOR and len(mag) >= 2:
+            break
+    tails = _dropped_tails(np.array(mag), math.log(omegas[1] / omegas[0]))
+    within = np.flatnonzero(tails <= budget)
+    if within.size == 0:
+        raise QuadratureError(
+            f"the CF's dropped tail is estimated at {tails[-1]:.3e} past omega = "
+            f"{omegas[len(mag) - 1]:.3e} (|cf| = {mag[-1]:.3e}), above the budget "
+            f"{budget:.1e}")
+    return float(omegas[within[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -642,20 +670,29 @@ def _nested_samples(cf: Callable) -> Callable:
     return sample
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not (math.isfinite(tolerance) and 0.0 < tolerance < 1.0):
+        raise ValueError(f"tolerance must be finite and in (0, 1), got {tolerance!r}")
+
+
 def _cdf_from_cf(cf: Callable, grid, tolerance: float) -> DistributionCurve:
     """Gil-Pelaez CDF of a decaying CF through its band-limited surrogate.
 
-    The CF is cut where |phi| falls below 1e-12 and tabulated on
-    N_k = 68 * 2**k + 1 log-spaced points, each grid nested in the next so
-    that only new points are evaluated.  The first k >= 1 whose curve
-    moves by at most tolerance/10 from size N_(k-1) is kept; a curve
-    still moving at N = 4353 raises QuadratureError.
+    The CF is cut at the first scan point Omega whose estimated dropped
+    tail (1/pi) int_Omega^inf |phi|/w dw is at most tolerance/100, which
+    bounds the truncation's shift of the curve at every x, and tabulated
+    on N_k = 68 * 2**k + 1 log-spaced points over [1e-7 Omega, Omega], each
+    grid nested in the next so that only new points are evaluated.  The
+    first k >= 1 whose curve moves by at most tolerance/10 from size
+    N_(k-1) is kept; a curve still moving at N = 4353 raises
+    QuadratureError.
     """
+    _check_tolerance(tolerance)
     x = np.asarray(grid, dtype=float)
     if x.size == 0 or np.any(x <= 0):
         raise ValueError("CDF grid points must be positive")
     x_max = float(x.max())
-    omega_max = cf_decay_cutoff(cf, 0.1 / x_max, 1e12)
+    omega_max = cf_decay_cutoff(cf, 0.1 / x_max, 1e12, tolerance / 100.0)
     _panel_count(omega_max, x_max)
     sample = _nested_samples(cf)
     points = _SURROGATE_BASE + 1
@@ -683,8 +720,11 @@ def interference_cdf(spec: CfSpec, grid, tolerance: float = 1e-4) -> Distributio
     The worst-case PPP regime (alpha = 2, no guard, no offset, no fading)
     uses the Levy closed form.  Otherwise the PPP or lattice CF is
     inverted through its band-limited surrogate; the stamped tolerance
-    bounds the last surrogate doubling's change of the curve.
+    covers the estimated truncation tail (tolerance/100) and bounds the
+    last surrogate doubling's change of the curve (tolerance/10).  A
+    tolerance outside (0, 1) is refused before any CF evaluation.
     """
+    _check_tolerance(tolerance)
     if spec.geometry == GeometryKind.BERNOULLI_LATTICE:
         return _cdf_from_cf(lambda w: cf_bl(spec, w), grid, tolerance)
     try:

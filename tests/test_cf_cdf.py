@@ -1,12 +1,15 @@
 """Characteristic functions and Fourier-inversion machinery."""
 
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
 from radar_sg import interference as itf
+from radar_sg.cli import _default_x_grid, parse_scenario
 from radar_sg.interference import (CfSpec, DistributionCurve, InversionMethod,
                                    LaneProcess, MonotonicityError,
                                    QuadratureError, RegimeError, _cdf_from_cf,
@@ -15,6 +18,7 @@ from radar_sg.interference import (CfSpec, DistributionCurve, InversionMethod,
                                    cf_decay_cutoff, interference_cdf,
                                    levy_quantile, mean_ppp_exact, tabulated_cf)
 from radar_sg.model import FadingModel, Lane, derive
+from radar_sg.performance import ranging_signal
 from conftest import make_scenario
 from oracles import cf_ppp_ln0
 
@@ -205,12 +209,72 @@ def test_tabulated_cf_matches_direct():
 
 
 def test_cf_decay_cutoff():
+    # (1/pi) int_W^inf e^(-w/100)/w dw = E1(W/100)/pi falls to 1e-8 at
+    # W ~ 1490; the cut lies past that, and the trapezoid estimate's
+    # excess on this fast decay moves it at most two 12/decade steps on
+    asked = []
+
     def cf(w):
+        asked.append(float(w))
         return np.exp(-np.asarray(w, dtype=float) / 100.0)
 
-    cut = cf_decay_cutoff(cf, 1.0, 1e8, threshold=1e-8)
-    # |phi| < 1e-8 first near w = 100*ln(1e8) ~ 1842
-    assert 1842.0 <= cut <= 2500.0
+    def tail(w):
+        return special.exp1(w / 100.0) / math.pi
+
+    cut = cf_decay_cutoff(cf, 1.0, 1e8, 1e-8)
+    assert tail(cut) <= 1e-8 < tail(cut / 10.0 ** (2.0 / 12.0))
+    # the scan stops at the first sample with |cf| < 1e-12, near
+    # w = 100 ln(1e12) ~ 2763
+    assert 2763.0 <= max(asked) <= 2763.0 * 10.0 ** (1.0 / 12.0)
+
+
+def scan_samples(cf, omega_lo, budget):
+    """The omegas and |cf| values cf_decay_cutoff samples, and its cut."""
+    seen = []
+
+    def recorded(w):
+        value = cf(w)
+        seen.append((float(w), abs(complex(value))))
+        return value
+    cut = cf_decay_cutoff(recorded, omega_lo, 1e12, budget)
+    omegas, mags = (np.array(v) for v in zip(*seen))
+    return omegas, mags, cut
+
+
+def stable_cf(index):
+    """CF of the one-sided stable law of `index`, |cf| = exp(-c w^index)."""
+    def cf(w):
+        w = np.asarray(w, dtype=float)
+        return np.exp(-0.3 * special.gamma(1.0 - index) * (-1j * w + 0j) ** index)
+    return cf
+
+
+@pytest.mark.parametrize("case", ["table1", "stable-1/2", "stable-1/3"])
+def test_dropped_tail_estimate_dominates_a_finer_sum(case):
+    # the estimate against the trapezoid rule at 40 steps per scan step,
+    # carried on past the scan until |cf| < 1e-20, at every scan point
+    # from six before the cut on
+    if case == "table1":
+        spec, x = ppp_grid(20)
+        cf, omega_lo = (lambda w: cf_ppp(spec, w)), 0.1 / x[-1]
+    else:
+        cf, omega_lo = stable_cf(0.5 if case == "stable-1/2" else 1.0 / 3.0), 1e-4
+    omegas, mags, cut = scan_samples(cf, omega_lo, 1e-6)
+    dlog = math.log(omegas[1] / omegas[0])
+    tails = itf._dropped_tails(mags, dlog)
+    k0 = max(0, int(np.searchsorted(omegas, cut)) - 6)
+    step = dlog / 40.0
+    fine_omegas = omegas[k0] * np.exp(step * np.arange(40 * (omegas.size - 1 - k0) + 1))
+    fine = list(np.abs(cf(fine_omegas)))
+    w = fine_omegas[-1]
+    while fine[-1] >= 1e-20:
+        w *= math.exp(step)
+        fine.append(abs(complex(cf(w))))
+    fine = np.array(fine)
+    panels = 0.5 * step * (fine[:-1] + fine[1:])
+    reference = np.append(np.cumsum(panels[::-1])[::-1], 0.0)[::40] / math.pi
+    assert tails[k0] > 1e-6 >= tails[k0 + 6]
+    assert np.all(tails[k0:] >= reference[:omegas.size - k0])
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +391,85 @@ def test_band_limited_gamma_law():
 
 def test_unreachable_tolerance_raises_instead_of_looping():
     spec, x = ppp_grid(5)
-    with pytest.raises(QuadratureError, match="4353"):
+    # a truncation budget of 1e-16 is below the dropped tail even at the
+    # scan's last sample, where |cf| < 1e-12: refused by the scan
+    with pytest.raises(QuadratureError, match="dropped tail"):
         interference_cdf(spec, x, tolerance=1e-14)
+    # a budget of 1e-13 is met, but the curve still moves at N = 4353
+    with pytest.raises(QuadratureError, match="4353"):
+        interference_cdf(spec, x, tolerance=1e-11)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1e-4, 1.0, 2.0, math.nan, math.inf])
+def test_bad_tolerance_refused_before_evaluating_the_cf(tolerance, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated the CF before checking the tolerance")
+    spec, x = ppp_grid(5)
+    monkeypatch.setattr(itf, "cf_ppp", refuse)
+    with pytest.raises(ValueError, match="tolerance"):
+        interference_cdf(spec, x, tolerance=tolerance)
+    with pytest.raises(ValueError, match="tolerance"):
+        _cdf_from_cf(refuse, x, tolerance)
+
+
+@pytest.mark.parametrize("cf", [
+    lambda w: np.exp(1j * np.asarray(w, dtype=float)),         # a point mass
+    lambda w: (1.0 + np.abs(np.asarray(w, dtype=float))) ** -0.05,
+], ids=["never-decays", "slow-power-law"])
+def test_undecayed_cf_refused_before_tabulating(cf, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tabulated the CF before refusing its tail")
+    monkeypatch.setattr(itf, "tabulated_cf", refuse)
+    with pytest.raises(QuadratureError, match="dropped tail"):
+        _cdf_from_cf(cf, [0.5, 1.0, 2.0], 1e-4)
+
+
+def cut_at_floor(cf, omega_lo, omega_hi, budget):
+    """The first 12/decade scan point with |cf| < 1e-12, whatever the budget."""
+    n = int(np.ceil(12.0 * np.log10(omega_hi / omega_lo))) + 1
+    for om in np.geomspace(omega_lo, omega_hi, n):
+        if abs(complex(cf(om))) < 1e-12:
+            return float(om)
+    raise AssertionError("the CF never fell below 1e-12")
+
+
+def table1_spec_and_grid(geometry):
+    doc = json.loads(resources.files("radar_sg.data").joinpath("table1.json")
+                     .read_text())
+    doc["geometry"] = geometry
+    sc = parse_scenario(json.dumps(doc))
+    return CfSpec.from_scenario(sc), _default_x_grid(sc)
+
+
+def criterion_5_spec_and_grid():
+    sc = make_scenario(duty_cycle=0.01)
+    consts = derive(sc, 0)
+    args = [ranging_signal(consts, r) / 10.0 for r in np.linspace(10.0, 250.0, 20)]
+    return CfSpec.from_scenario(sc), np.sort(args)
+
+
+@pytest.mark.parametrize("case", ["table1-ppp", "table1-lattice", "criterion-5"])
+def test_budget_cut_stays_within_a_tenth_of_tolerance_of_the_floor_cut(
+        case, monkeypatch):
+    if case == "criterion-5":
+        spec, x = criterion_5_spec_and_grid()
+    else:
+        spec, x = table1_spec_and_grid(
+            "ppp" if case == "table1-ppp" else "bernoulli_lattice")
+    cuts = {}
+
+    def recorded(name, scan):
+        def cut(*args):
+            cuts[name] = scan(*args)
+            return cuts[name]
+        return cut
+    monkeypatch.setattr(itf, "cf_decay_cutoff", recorded("budget", cf_decay_cutoff))
+    budget_cut = interference_cdf(spec, x)
+    monkeypatch.setattr(itf, "cf_decay_cutoff", recorded("floor", cut_at_floor))
+    floor_cut = interference_cdf(spec, x)
+    # the cuts differ, so the comparison shows something
+    assert cuts["budget"] < 0.5 * cuts["floor"]
+    assert np.max(np.abs(budget_cut.cdf - floor_cut.cdf)) <= budget_cut.tolerance / 10.0
 
 
 def test_oversize_node_count_refused_before_tabulating(monkeypatch):

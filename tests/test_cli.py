@@ -179,6 +179,23 @@ def test_ps_worst_case_pools_every_lane(tmp_path, capsys):
     assert columns[0] == pytest.approx(columns[1], rel=1e-12, abs=0.0)
 
 
+def test_ps_sweep_at_pathloss_exp_3_completes(tmp_path, capsys):
+    # the CF decays like exp(-c w^(1/3)): cut at |phi| < 1e-12 it needed
+    # 1.9e7 quadrature nodes, beyond the 1e7 cap; the error budget cuts it
+    # about a decade lower
+    doc = json.loads(bundled_text())
+    doc["radar"]["pathloss_exp"] = 3.0
+    path = tmp_path / "alpha3.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ps", "--scenario", str(path), "--sweep", "range:5:60:12"]) == 0
+    rows = [[float(v) for v in row.split(",")]
+            for row in capsys.readouterr().out.strip().splitlines()[1:]]
+    general = np.array([row[1] for row in rows])
+    assert general.shape == (12,)
+    assert np.all((general >= 0.0) & (general <= 1.0))
+    assert np.all(np.diff(general) <= 0.0)
+
+
 def test_ps_mc_descending_sweep_reverses_ascending_rows(tmp_path, capsys):
     path = bundled_path(tmp_path)
     runs = []

@@ -79,12 +79,20 @@ def test_mean_bl_campbell_oracle():
 
 
 def test_tail_integral_mpmath_oracle():
-    # the series and closed-form branches meet at lower = 2 * offset; at
-    # lower/offset = 99 and alpha = 9 a difference of the closed form's two
-    # terms keeps no correct digit
+    # the series and incomplete-beta branches meet at lower = 2 * offset; at
+    # lower/offset = 99 and alpha = 9 a difference of the full integral and
+    # its head would keep no correct digit, and below 2 * offset at alpha = 27
+    # it kept five
     offset = 1.3
     for alpha in (1.5, 2.0, 3.0, 4.0, 6.0, 9.0):
         for q in (0.0, 0.5, 7.6, 30.0, 60.0, 99.0, 101.0, 1000.0):
+            ref = tail_integral_mp(q * offset, alpha, offset)
+            assert _tail_integral(q * offset, alpha, offset) == pytest.approx(
+                ref, rel=1e-12, abs=0.0), (alpha, q)
+    # lower = 0 is left out here: at alpha > 9 the oracle's own quadrature is
+    # off the exact Gamma ratio by more than the tolerance
+    for alpha in (12.0, 18.0, 27.0):
+        for q in (0.5, 1.0, 1.5, 1.9):
             ref = tail_integral_mp(q * offset, alpha, offset)
             assert _tail_integral(q * offset, alpha, offset) == pytest.approx(
                 ref, rel=1e-12, abs=0.0), (alpha, q)

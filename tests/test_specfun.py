@@ -38,26 +38,6 @@ def test_gamma_upper_domain():
         specfun.gamma_upper(2.0, -1.0)
 
 
-def test_hyp2f1_neg_arctan_identity():
-    # 2F1(1/2, 1; 3/2; -w^2) = arctan(w)/w
-    for w in (0.3, 1.0, 4.0, 25.0):
-        assert specfun.hyp2f1_neg(1.0, -w * w) == pytest.approx(
-            math.atan(w) / w, rel=1e-12)
-
-
-def test_hyp2f1_neg_oracle():
-    # real-axis quadrature oracle values, frozen
-    assert specfun.hyp2f1_neg(1.5, -1.0) == pytest.approx(
-        0.7071067811865476, rel=1e-12)
-    assert specfun.hyp2f1_neg(0.75, -4.0) == pytest.approx(
-        0.6276503166979763, rel=1e-12)
-
-
-def test_hyp2f1_neg_domain():
-    with pytest.raises(ValueError):
-        specfun.hyp2f1_neg(1.0, 0.5)
-
-
 def test_expint_gen_oracle():
     # expint_gen(n, z) = E_n(-z); complex-quadrature oracle values, frozen
     v = expint_gen(1.5, -2j)
