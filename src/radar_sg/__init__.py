@@ -2,8 +2,8 @@
 under stochastic road-geometry models (Poisson line traffic and translated
 Bernoulli lattices), with an embedded Monte-Carlo validator."""
 
-from .model import (SPEED_OF_LIGHT, DerivedConstants, FadingModel, GeometryKind,
-                    Lane, MediumAccess, RadarParams, Scenario, db_to_linear,
+from .model import (SPEED_OF_LIGHT, DerivedConstants, GeometryKind, Lane,
+                    MediumAccess, RadarParams, Scenario, db_to_linear,
                     dbm_to_watts, derive)
 from .geometry import count_in_intervals, sample_lattice, sample_ppp
 from .interference import (CfSpec, ContourError, DistributionCurve,

@@ -21,8 +21,8 @@ import numpy as np
 from . import interference as itf
 from . import montecarlo as mc_mod
 from . import performance as perf
-from .model import (FadingModel, GeometryKind, Lane, MediumAccess, RadarParams,
-                    Scenario, db_to_linear, dbm_to_watts, derive)
+from .model import (GeometryKind, Lane, MediumAccess, RadarParams, Scenario,
+                    db_to_linear, dbm_to_watts, derive)
 
 COMMANDS = ("mean", "cdf", "ps", "optimize", "duty-cycle", "mc", "converge")
 
@@ -172,7 +172,7 @@ def parse_scenario(json_text: str) -> Scenario:
     if doc:
         raise SchemaError(f"unknown top-level fields {sorted(doc)}")
     return Scenario(radar=radar, lanes=tuple(lanes), access=access,
-                    fading=FadingModel.unit(), geometry_kind=kind)
+                    geometry_kind=kind)
 
 
 # ---------------------------------------------------------------------------

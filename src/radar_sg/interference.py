@@ -4,9 +4,12 @@ Means, characteristic functions, Laplace transforms and CDFs.  Both
 models have one mean, Campbell's integral of the path loss beyond the
 guard distance: the uniformly translated lattice is stationary, like the
 PPP.  The PPP characteristic function and the lattice Laplace transform
-are evaluated with oscillation-aware quadrature.  On the imaginary axis,
-where the lattice characteristic function lives, each site's log factor
-log(1 - xi + xi e^(j theta)) is evaluated in real arithmetic.
+are evaluated with oscillation-aware quadrature.  Every channel gain is
+1, as in the paper's interference laws.  Each lattice site's log factor
+log(1 - xi + xi e^(-s a)) is evaluated in real arithmetic for every s,
+from the phase theta = -Im(s) a and the damping e^(-Re(s) a); the
+damping is 1 on the imaginary axis, where the characteristic function
+lives, and is computed only off it.
 
 `interference_cdf` is the one CF-to-CDF pipeline: the Levy closed form in
 the worst-case regime, otherwise the PPP or lattice CF, cut where its
@@ -30,8 +33,8 @@ import numpy as np
 from scipy import special as sp
 
 from . import specfun
-from .model import (DerivedConstants, FadingModel, GeometryKind, Lane,
-                    MediumAccess, Scenario, derive)
+from .model import (DerivedConstants, GeometryKind, Lane, MediumAccess,
+                    Scenario, derive)
 
 
 class RegimeError(ValueError):
@@ -114,7 +117,6 @@ class CfSpec:
     lanes: tuple[LaneProcess, ...]
     point_scale: float  # gamma1 * P0, W * m^alpha
     alpha: float
-    fading: FadingModel
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "CfSpec":
@@ -127,7 +129,6 @@ class CfSpec:
                         for lane, c in zip(scenario.lanes, consts)),
             point_scale=consts[0].gamma1 * scenario.radar.tx_power,
             alpha=scenario.radar.pathloss_exp,
-            fading=scenario.fading,
         )
 
 
@@ -136,15 +137,12 @@ class CfSpec:
 # ---------------------------------------------------------------------------
 
 def aggregate_interference(positions: np.ndarray, consts: DerivedConstants,
-                           fading_draws, lane_offset: float = 0.0) -> float:
-    """Sum of gamma1 * P0 * g * ||x||^-alpha over the interferer positions."""
-    g = np.asarray(fading_draws, dtype=float)
-    if g.size != len(positions):
-        raise ValueError("fading_draws must match the number of positions")
+                           lane_offset: float = 0.0) -> float:
+    """Sum of gamma1 * P0 * ||x||^-alpha over the interferer positions."""
     if len(positions) == 0:
         return 0.0
     dist = np.hypot(positions, lane_offset)
-    return float(np.sum(consts.gamma1 * consts.tx_power * g * dist ** (-consts.pathloss_exp)))
+    return float(np.sum(consts.gamma1 * consts.tx_power * dist ** (-consts.pathloss_exp)))
 
 
 def _tail_integral(lower: float, alpha: float, offset: float) -> float:
@@ -224,24 +222,6 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
-def _fading_nodes(fading: FadingModel, n: int = 64):
-    """(gain nodes, probability weights) for E_g quadrature; None for unit."""
-    if fading.kind == "unit":
-        return None
-    lo, hi = fading.support
-    xg, wg = _gl(n)
-    g = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xg
-    w = 0.5 * (hi - lo) * wg * np.asarray([fading.pdf(v) for v in g])
-    return g, w
-
-
-def _fading_moments(fading: FadingModel) -> tuple[float, float, float]:
-    if fading.kind == "unit":
-        return 1.0, 1.0, 1.0
-    g, w = _fading_nodes(fading)
-    return (float(w @ g), float(w @ g ** 2), float(w @ g ** 3))
-
-
 def _scalar_pow(x: np.ndarray, p) -> np.ndarray:
     """x ** p element by element through the C library's pow, as the scalar
     formulas compute it; numpy's vectorised power may round differently."""
@@ -271,9 +251,9 @@ _THETA_SMALL = 1e-3  # phase below which the integrand is Taylor-expanded
 _MAX_PHASE_PANELS = 10 ** 6
 
 
-def _ppp_lane_exponent(omega: float, lane: LaneProcess, b: float, alpha: float,
-                       fading: FadingModel) -> complex:
-    """lambda_I * int_{delta_o}^inf E_g[1 - exp(j w g b (u^2+L^2)^(-a/2))] du.
+def _ppp_lane_exponent(omega: float, lane: LaneProcess, b: float,
+                       alpha: float) -> complex:
+    """lambda_I * int_{delta_o}^inf [1 - exp(j w b (u^2+L^2)^(-a/2))] du.
 
     The phase theta(u) = w*b*(u^2+L^2)^(-alpha/2) decreases monotonically
     in u, so the integral is split into panels of bounded phase change
@@ -283,13 +263,12 @@ def _ppp_lane_exponent(omega: float, lane: LaneProcess, b: float, alpha: float,
     if omega == 0.0:
         return 0.0 + 0.0j
     if omega < 0.0:
-        return np.conj(_ppp_lane_exponent(-omega, lane, b, alpha, fading))
+        return np.conj(_ppp_lane_exponent(-omega, lane, b, alpha))
     d0, ln = lane.delta_o, lane.offset
     if d0 == 0.0 and ln == 0.0:
-        raise RegimeError("the exact PPP CF integral needs delta_o > 0 or L_n > 0; "
-                          "use cf_levy for the worst-case regime (alpha = 2)")
-    fn = _fading_nodes(fading)
-    m1, m2, m3 = _fading_moments(fading)
+        raise RegimeError("a lane with offset 0 has no guard region, so its PPP CF "
+                          "integral diverges; give it a positive offset_m (at "
+                          "alpha = 2 the Levy closed form covers offset 0)")
     wb = omega * b
 
     def theta_of_u(u):
@@ -322,12 +301,7 @@ def _ppp_lane_exponent(omega: float, lane: LaneProcess, b: float, alpha: float,
         mid = 0.5 * (lo_e + hi_e)
         half = 0.5 * (hi_e - lo_e)
         u = mid + half * xg[None, :]
-        th = theta_of_u(u)
-        if fn is None:
-            vals = 1.0 - np.exp(1j * th)
-        else:
-            g, wgt = fn
-            vals = 1.0 - np.exp(1j * th[..., None] * g) @ wgt
+        vals = 1.0 - np.exp(1j * theta_of_u(u))
         total += np.sum((half * wg[None, :]) * vals)
         u_tail = float(edges[-1])
     else:
@@ -336,7 +310,7 @@ def _ppp_lane_exponent(omega: float, lane: LaneProcess, b: float, alpha: float,
     t1 = _tail_integral(u_tail, alpha, ln)
     t2 = _tail_integral(u_tail, 2.0 * alpha, ln)
     t3 = _tail_integral(u_tail, 3.0 * alpha, ln)
-    total += (-1j * wb * m1 * t1 + 0.5 * wb * wb * m2 * t2 + 1j / 6.0 * wb ** 3 * m3 * t3)
+    total += (-1j * wb * t1 + 0.5 * wb * wb * t2 + 1j / 6.0 * wb ** 3 * t3)
     return lane.lambda_i * total
 
 
@@ -347,16 +321,13 @@ def cf_ppp(spec: CfSpec, omega):
     om1 = np.atleast_1d(om)
     out = np.empty(om1.shape, dtype=complex)
     for i, w in enumerate(om1):
-        expo = sum(_ppp_lane_exponent(float(w), lane, spec.point_scale,
-                                      spec.alpha, spec.fading)
+        expo = sum(_ppp_lane_exponent(float(w), lane, spec.point_scale, spec.alpha)
                    for lane in spec.lanes)
         out[i] = np.exp(-expo)
     return complex(out[0]) if scalar else out
 
 
 def _levy_lambda_i(spec: CfSpec) -> float:
-    if spec.fading.kind != "unit":
-        raise RegimeError("the Levy worst case assumes no fading")
     if abs(spec.alpha - 2.0) > 1e-9:
         raise RegimeError("the Levy worst case needs alpha = 2")
     for lane in spec.lanes:
@@ -717,12 +688,13 @@ def _cdf_from_cf(cf: Callable, grid, tolerance: float) -> DistributionCurve:
 def interference_cdf(spec: CfSpec, grid, tolerance: float = 1e-4) -> DistributionCurve:
     """Aggregate-interference CDF on `grid` (W), for either geometry.
 
-    The worst-case PPP regime (alpha = 2, no guard, no offset, no fading)
-    uses the Levy closed form.  Otherwise the PPP or lattice CF is
-    inverted through its band-limited surrogate; the stamped tolerance
-    covers the estimated truncation tail (tolerance/100) and bounds the
-    last surrogate doubling's change of the curve (tolerance/10).  A
-    tolerance outside (0, 1) is refused before any CF evaluation.
+    The worst-case PPP regime (alpha = 2, no guard, no offset) uses the
+    Levy closed form.  Otherwise the PPP or lattice CF is inverted
+    through its band-limited surrogate; the stamped tolerance covers the
+    estimated truncation tail (tolerance/100) and bounds the last
+    surrogate doubling's change of the curve (tolerance/10).  A tolerance
+    outside (0, 1) is refused before any CF evaluation.  Every channel
+    gain is 1, as in the paper's interference laws.
     """
     _check_tolerance(tolerance)
     if spec.geometry == GeometryKind.BERNOULLI_LATTICE:
@@ -741,22 +713,23 @@ def interference_cdf(spec: CfSpec, grid, tolerance: float = 1e-4) -> Distributio
 _MAX_LATTICE_TERMS = 10 ** 6
 
 
-def _bernoulli_log_factor(theta: np.ndarray, xi: float):
-    """Real and imaginary parts of log(1 - xi + xi e^(j theta)), the log of
-    one site's factor on the imaginary axis, in real arithmetic.
+def _bernoulli_log_factor(theta: np.ndarray, xi: float, damp=None):
+    """Real and imaginary parts of log(1 - xi + xi * damp * e^(j theta)),
+    the log of one site's factor e^(-s a) = damp * e^(j theta), in real
+    arithmetic; no damp means damp = 1, the imaginary axis.
 
-    The squared modulus is summed as (1 - xi + xi cos)^2 + (xi sin)^2,
-    which stays accurate where the factor nearly vanishes (xi = 1/2, theta
-    near pi) and 1 - 2 xi (1 - xi)(1 - cos) would cancel; atan2 gives the
-    principal branch when xi > 1/2 makes the real part negative.
+    The squared modulus is summed as (1 - xi + xi damp cos)^2 +
+    (xi damp sin)^2, which stays accurate where the factor nearly vanishes
+    (xi = 1/2, theta near pi) and 1 - 2 xi (1 - xi)(1 - cos) would cancel;
+    atan2 gives the principal branch when the real part is negative.
     """
-    re = (1.0 - xi) + xi * np.cos(theta)
-    im = xi * np.sin(theta)
+    weight = xi if damp is None else xi * damp
+    re = (1.0 - xi) + weight * np.cos(theta)
+    im = weight * np.sin(theta)
     return 0.5 * np.log(re * re + im * im), np.arctan2(im, re)
 
 
-def _bl_lane_log_laplace(s: complex, lane: LaneProcess, b: float, alpha: float,
-                         fading: FadingModel):
+def _bl_lane_log_laplace(s: complex, lane: LaneProcess, b: float, alpha: float):
     """Log of the per-lane lattice transform on a translation grid.
 
     Returns (u_nodes, u_weights, log-product at each node).  The site
@@ -764,11 +737,12 @@ def _bl_lane_log_laplace(s: complex, lane: LaneProcess, b: float, alpha: float,
     second-order expansion of the remaining log factors summed by
     Euler-Maclaurin; far factors (beyond the first 64) are evaluated on
     a coarse translation grid and spline-interpolated, since their joint
-    log varies slowly with the translation.  With unit gain and Re(s) = 0
-    each log factor is taken in real arithmetic (`_bernoulli_log_factor`,
-    theta = -Im(s) * a_m), about 4x cheaper than the complex exp and log
-    that any other s needs.  Factors are evaluated in blocks of at most
-    1024 translation nodes x 512 sites, which bounds the working memory.
+    log varies slowly with the translation.  Each site's log factor
+    log(1 - xi + xi e^(-s a_m)) is taken in real arithmetic
+    (`_bernoulli_log_factor`, theta = -Im(s) * a_m, damping e^(-Re(s) a_m),
+    computed only off the imaginary axis), about 4x cheaper than a complex
+    exp and log.  Factors are evaluated in blocks of at most 1024
+    translation nodes x 512 sites, which bounds the working memory.
     """
     from scipy.interpolate import CubicSpline
 
@@ -779,7 +753,8 @@ def _bl_lane_log_laplace(s: complex, lane: LaneProcess, b: float, alpha: float,
     # translation grid: the product phase drifts by about |s| * a_0
     a0 = b * (d0 * d0 + ln * ln) ** (-alpha / 2.0) if (d0 > 0 or ln > 0) else np.inf
     if not np.isfinite(a0):
-        raise RegimeError("the lattice transform needs delta_o > 0 or L_n > 0")
+        raise RegimeError("a lane with offset 0 has no guard region, so its lattice "
+                          "transform diverges; give it a positive offset_m")
     n_pan = int(np.clip(np.ceil(sa * a0 / 3.0), 3, 2048))
     xg, wg = _gl(16)
     edges = np.linspace(0.0, 1.0, n_pan + 1)
@@ -797,8 +772,6 @@ def _bl_lane_log_laplace(s: complex, lane: LaneProcess, b: float, alpha: float,
             f"lattice product needs {n_terms} factors, beyond the "
             f"{_MAX_LATTICE_TERMS} cap")
     n_terms = max(n_terms, 16)
-    gnodes = _fading_nodes(fading)
-    m1, m2, _ = _fading_moments(fading)
 
     def log_factors(u_nodes, m_lo, m_hi):
         out = np.zeros(u_nodes.shape, dtype=complex)
@@ -808,24 +781,17 @@ def _bl_lane_log_laplace(s: complex, lane: LaneProcess, b: float, alpha: float,
                 m = np.arange(start, min(start + 512, m_hi))
                 d2 = ln * ln + (d0 + (m[None, :] + u_nodes[rows, None]) * delta) ** 2
                 a = b * d2 ** (-alpha / 2.0)
-                if gnodes is None and s.real == 0.0:
-                    re, im = _bernoulli_log_factor(-s.imag * a, xi)
-                    out[rows] += re.sum(axis=1) + 1j * im.sum(axis=1)
-                else:
-                    if gnodes is None:
-                        point = np.exp(-s * a)
-                    else:
-                        g, wgt = gnodes
-                        point = np.exp(-s * a[..., None] * g) @ wgt
-                    out[rows] += np.log((1.0 - xi) + xi * point).sum(axis=1)
+                damp = np.exp(-s.real * a) if s.real != 0.0 else None
+                re, im = _bernoulli_log_factor(-s.imag * a, xi, damp)
+                out[rows] += re.sum(axis=1) + 1j * im.sum(axis=1)
         return out
 
     def em_tail(u_nodes):
-        # log(1 - xi*(1 - E_g e^(-s*g*a))) to second order in s*a
+        # log(1 - xi*(1 - e^(-s*a))) to second order in s*a
         v0 = d0 + (n_terms + u_nodes) * delta
         s1 = _tail_sum(v0, alpha, ln, delta, b)
         s2 = _tail_sum(v0, 2.0 * alpha, ln, delta, b * b)
-        return -xi * s * m1 * s1 + 0.5 * xi * (m2 - xi * m1 * m1) * s * s * s2
+        return -xi * s * s1 + 0.5 * xi * (1.0 - xi) * s * s * s2
 
     m_split = min(64, n_terms)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -845,16 +811,17 @@ def laplace_bl(spec: CfSpec, s: complex) -> complex:
 
     The interference is bounded, so the transform is entire; for
     Re(s) < 0 its magnitude can overflow to inf, which callers must
-    treat as a contour-validity signal rather than an error.
+    treat as a contour-validity signal rather than an error.  Every s
+    takes the same real-arithmetic site factors as the CF's axis.
     """
     s = complex(s)
     total = 1.0 + 0.0j
     for lane in spec.lanes:
-        u, w, logprod = _bl_lane_log_laplace(s, lane, spec.point_scale, spec.alpha,
-                                             spec.fading)
+        u, w, logprod = _bl_lane_log_laplace(s, lane, spec.point_scale, spec.alpha)
         shift = float(logprod.real.max())
         with np.errstate(over="ignore", invalid="ignore"):
-            if shift > 700.0:
+            # NaN too: a damping e^(-Re(s) a) that overflowed meets sin 0 = 0
+            if not shift <= 700.0:
                 return complex(np.inf, 0.0)
             total *= math.exp(shift) * (w @ np.exp(logprod - shift))
     return complex(total)
@@ -915,17 +882,17 @@ def cdf_from_laplace_talbot(transform: Callable, grid, nodes: int = 32,
                              tolerance=tolerance)
 
 
-def cdf_bl_talbot(spec: CfSpec, grid, nodes: int = 32, tolerance: float = 1e-6,
-                  strict: bool = False) -> DistributionCurve:
+def cdf_bl_talbot(spec: CfSpec, grid, nodes: int = 32,
+                  tolerance: float = 1e-4) -> DistributionCurve:
     """Lattice interference CDF from its Laplace transform.
 
-    The fixed-Talbot contour is attempted first.  With bounded fading
-    the interference is bounded, its transform grows like
-    exp(|Re s| * I_max) in the left half-plane, and the contour
-    deformation is numerically invalid below roughly I_max; that case is
-    detected per node and, unless ``strict``, the whole curve falls back
-    to Gil-Pelaez inversion of the same transform restricted to the
-    imaginary axis, where it is a decaying characteristic function.
+    The fixed-Talbot contour is attempted first.  The lattice
+    interference is bounded, its transform grows like exp(|Re s| * I_max)
+    in the left half-plane, and the contour deformation is numerically
+    invalid below roughly I_max; that case is detected per node and the
+    whole curve falls back to Gil-Pelaez inversion of the same transform
+    restricted to the imaginary axis, where it is a decaying
+    characteristic function.  Both routes work to the caller's tolerance.
 
     The CLI no longer calls this: for the lattice the contour always
     fails, so `interference_cdf` goes straight to the CF route.  It stays
@@ -937,6 +904,4 @@ def cdf_bl_talbot(spec: CfSpec, grid, nodes: int = 32, tolerance: float = 1e-6,
         return cdf_from_laplace_talbot(lambda s: laplace_bl(spec, s), x,
                                        nodes=nodes, tolerance=tolerance)
     except ContourError:
-        if strict:
-            raise
-    return _cdf_from_cf(lambda w: cf_bl(spec, w), x, tolerance=1e-4)
+        return _cdf_from_cf(lambda w: cf_bl(spec, w), x, tolerance)

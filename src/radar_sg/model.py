@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
 
@@ -97,60 +97,12 @@ class MediumAccess:
 
 
 @dataclass(frozen=True)
-class FadingModel:
-    """Per-interferer channel gain model.
-
-    The default is a deterministic unit gain.  A custom model supplies a
-    sampler(rng, n) -> array and a density on a bounded support for the
-    analytic expectations; its mean must be 1 (channel gain normalized
-    to unity).
-    """
-
-    kind: str = "unit"
-    sampler: Optional[Callable] = None
-    pdf: Optional[Callable] = None
-    support: tuple[float, float] = (0.0, 0.0)
-
-    @classmethod
-    def unit(cls) -> "FadingModel":
-        return cls(kind="unit")
-
-    @classmethod
-    def custom(cls, sampler: Callable, pdf: Callable,
-               support: tuple[float, float]) -> "FadingModel":
-        fm = cls(kind="custom", sampler=sampler, pdf=pdf, support=support)
-        fm.validate_mean()
-        return fm
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("unit", "custom"):
-            raise ValueError(f"unknown fading kind {self.kind!r}")
-        if self.kind == "custom" and (self.sampler is None or self.pdf is None):
-            raise ValueError("custom fading needs both sampler and pdf")
-
-    def validate_mean(self, tol: float = 1e-6) -> None:
-        """Custom fading densities must have unit mean (and unit mass)."""
-        if self.kind == "unit":
-            return
-        from scipy.integrate import quad
-
-        lo, hi = self.support
-        mass, _ = quad(self.pdf, lo, hi, limit=200)
-        mean, _ = quad(lambda g: g * self.pdf(g), lo, hi, limit=200)
-        if abs(mass - 1.0) > tol or abs(mean - 1.0) > tol:
-            raise ValueError(
-                f"custom fading must integrate to 1 with mean 1; got mass={mass}, mean={mean}"
-            )
-
-
-@dataclass(frozen=True)
 class Scenario:
     """Full experiment description."""
 
     radar: RadarParams
     lanes: tuple[Lane, ...]
     access: MediumAccess
-    fading: FadingModel = field(default_factory=FadingModel.unit)
     geometry_kind: GeometryKind = GeometryKind.PPP
 
     def __post_init__(self) -> None:

@@ -101,18 +101,13 @@ def _draw_samples(scenario: Scenario, mc: McConfig):
             raise ValueError(
                 f"window {mc.window:g} m puts {points:.3g} points per replicate "
                 f"in lane {i}; at most {_MAX_POINTS_PER_LANE:.0e}, shrink the window")
-    unit = scenario.fading.kind == "unit"
     samples = np.empty(mc.replicates)
     for rep in range(mc.replicates):
         rng = _substream(mc.master_seed, rep)
         total = 0.0
         for lane, c in lanes:
             positions = sampler(lane, scenario.access, c.delta_o, mc.window, rng)
-            if unit:
-                draws = np.ones(len(positions))
-            else:
-                draws = scenario.fading.sampler(rng, len(positions))
-            total += aggregate_interference(positions, c, draws, lane.offset)
+            total += aggregate_interference(positions, c, lane.offset)
         samples[rep] = total
     return samples, consts
 

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 from scipy import special as sp
 
-from radar_sg.interference import CfSpec, RegimeError, _fading_nodes
+from radar_sg.interference import CfSpec, RegimeError
 
 
 def expint_gen(n_order: float, z: complex) -> complex:
@@ -40,11 +40,6 @@ def cf_ppp_ln0(spec: CfSpec, omega):
     om1 = np.atleast_1d(om)
     alpha = spec.alpha
     b = spec.point_scale
-    if spec.fading.kind == "unit":
-        gw = [(1.0, 1.0)]
-    else:
-        g, w = _fading_nodes(spec.fading)
-        gw = list(zip(g, w))
     out = np.empty(om1.shape, dtype=complex)
     for i, w_ in enumerate(om1):
         if w_ == 0.0:
@@ -54,13 +49,10 @@ def cf_ppp_ln0(spec: CfSpec, omega):
         expo = 0.0 + 0.0j
         for lane in spec.lanes:
             d0 = lane.delta_o
-            bracket = 0.0 + 0.0j
-            for g, wgt in gw:
-                term = sp.gamma(1.0 - 1.0 / alpha) * (-1j * b * g * wa) ** (1.0 / alpha)
-                if d0 > 0.0:
-                    term += (d0 / alpha) * expint_gen(
-                        1.0 + 1.0 / alpha, 1j * b * g * d0 ** (-alpha) * wa) - d0
-                bracket += wgt * term
+            bracket = sp.gamma(1.0 - 1.0 / alpha) * (-1j * b * wa) ** (1.0 / alpha)
+            if d0 > 0.0:
+                bracket += (d0 / alpha) * expint_gen(
+                    1.0 + 1.0 / alpha, 1j * b * d0 ** (-alpha) * wa) - d0
             expo += lane.lambda_i * bracket
         val = np.exp(-expo)
         out[i] = val if w_ > 0 else np.conj(val)
@@ -95,14 +87,14 @@ def cf_bl_brute(spec: CfSpec, omega: float, theta_cut: float = 1e-3,
     enter through the first two cumulants of the Bernoulli factor.  Their
     first power sum is exact, Im psi(x + jy) / y with the complex digamma;
     the second, about xi (1 - xi) theta_cut^2 M / 6 in size, is the
-    midpoint-rule integral.  Unit gain and alpha = 2 only.
+    midpoint-rule integral.  Alpha = 2 only.
 
     On the default lattice scenario the defaults agree with theta_cut =
     2.5e-5 on 512 panels to 2e-8 relative up to w = 5e6, where |phi| is
     about 1e-12.
     """
-    if spec.fading.kind != "unit" or spec.alpha != 2.0:
-        raise RegimeError("cf_bl_brute covers unit gain at alpha = 2 only")
+    if spec.alpha != 2.0:
+        raise RegimeError("cf_bl_brute covers alpha = 2 only")
     t, wt = np.polynomial.legendre.leggauss(8)
     edges = np.linspace(0.0, 1.0, panels + 1)
     half = 0.5 * np.diff(edges)[:, None]

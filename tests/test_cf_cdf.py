@@ -17,7 +17,7 @@ from radar_sg.interference import (CfSpec, DistributionCurve, InversionMethod,
                                    cdf_levy_closed, cf_levy, cf_ppp,
                                    cf_decay_cutoff, interference_cdf,
                                    levy_quantile, mean_ppp_exact, tabulated_cf)
-from radar_sg.model import FadingModel, Lane, derive
+from radar_sg.model import Lane, derive
 from radar_sg.performance import ranging_signal
 from conftest import make_scenario
 from oracles import cf_ppp_ln0
@@ -71,8 +71,7 @@ def test_cf_no_offset_closed_form_matches_general():
         return CfSpec(geometry=base.geometry,
                       lanes=(LaneProcess(density=0.1, duty_cycle=0.1,
                                          delta_o=guard, offset=off),),
-                      point_scale=base.point_scale, alpha=base.alpha,
-                      fading=base.fading)
+                      point_scale=base.point_scale, alpha=base.alpha)
 
     spec_tiny = with_offset(1e-6)
     spec0 = with_offset(0.0)
@@ -94,8 +93,7 @@ def test_cf_levy_closed_form():
     # the general no-offset CF converges to the stable law as delta_o -> 0
     spec_g = CfSpec(geometry=spec.geometry,
                     lanes=(LaneProcess(0.1, 0.1, delta_o=1e-8, offset=0.0),),
-                    point_scale=spec.point_scale, alpha=2.0,
-                    fading=spec.fading)
+                    point_scale=spec.point_scale, alpha=2.0)
     assert complex(cf_ppp_ln0(spec_g, 100.0)) == pytest.approx(
         complex(cf_levy(spec, 100.0)), abs=1e-6)
 
@@ -108,34 +106,10 @@ def test_cf_levy_regime_guard():
                 1.0)                                  # alpha != 2
 
 
-def test_cf_custom_fading_expectation():
-    # two-point fading g in {0.5, 1.5} with equal mass has mean 1; the CF
-    # under fading is the fading-average of the unit-gain exponents
-    hw = 0.5
-
-    def pdf(g):
-        return 1.0 / (2.0 * hw)
-
-    fm = FadingModel.custom(sampler=lambda rng, n: 1.0 - hw + 2 * hw * rng.random(n),
-                            pdf=pdf, support=(1.0 - hw, 1.0 + hw))
-    sc_f = make_scenario()
-    sc_f = type(sc_f)(radar=sc_f.radar, lanes=sc_f.lanes, access=sc_f.access,
-                      fading=fm, geometry_kind=sc_f.geometry_kind)
-    spec_f = CfSpec.from_scenario(sc_f)
-    spec_u = spec_for()
-    om = 1e4
-    # oracle: average exponents of the scaled unit-fading processes
-    def exponent(scale):
-        s = CfSpec(geometry=spec_u.geometry, lanes=spec_u.lanes,
-                   point_scale=spec_u.point_scale * scale, alpha=spec_u.alpha,
-                   fading=spec_u.fading)
-        return np.log(complex(cf_ppp(s, om)))
-
-    nodes, weights = np.polynomial.legendre.leggauss(40)
-    g = 1.0 + hw * nodes
-    w = hw * weights * pdf(g)
-    ref = np.exp(np.sum(w * np.array([exponent(gi) for gi in g])))
-    assert complex(cf_ppp(spec_f, om)) == pytest.approx(ref, abs=1e-8)
+def test_zero_offset_ppp_cf_refusal_names_offset_m():
+    # away from alpha = 2 no closed form covers a lane without a guard region
+    with pytest.raises(RegimeError, match="offset_m"):
+        cf_ppp(spec_for(offset=0.0, pathloss_exp=3.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

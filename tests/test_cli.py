@@ -273,6 +273,19 @@ def test_error_goes_to_stderr_as_json(tmp_path, capsys):
     assert "mean_" not in doc["message"]
 
 
+def test_zero_offset_lattice_cdf_refusal_names_offset_m(tmp_path, capsys):
+    doc = json.loads(bundled_text())
+    doc["geometry"] = "bernoulli_lattice"
+    doc["lanes"] = [{"offset_m": 0.0, "density_per_m": 0.1}]
+    path = tmp_path / "zero_offset_lattice.json"
+    path.write_text(json.dumps(doc))
+    assert main(["cdf", "--scenario", str(path)]) == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "RegimeError"
+    assert "offset_m" in doc["message"]
+    assert "delta_o" not in doc["message"]
+
+
 def test_main_rejects_bad_sweep(tmp_path, capsys):
     rc = main(["mean", "--scenario", bundled_path(tmp_path),
                "--sweep", "density:1:2"])

@@ -138,10 +138,12 @@ def test_aggregate_interference():
     sc = make_scenario()
     consts = derive(sc, 0)
     pos = np.array([100.0, 200.0])
-    v = aggregate_interference(pos, consts, np.array([1.0, 2.0]),
-                               lane_offset=0.0)
-    ref = consts.gamma1 * 0.01 * (100.0 ** -2 + 2.0 * 200.0 ** -2)
-    assert v == pytest.approx(ref, rel=1e-14)
-    assert aggregate_interference(np.empty(0), consts, np.empty(0)) == 0.0
-    with pytest.raises(ValueError):
-        aggregate_interference(pos, consts, np.array([1.0]))
+    # unit gain: each interferer adds gamma1 * P0 * ||x||^-alpha
+    v = aggregate_interference(pos, consts, lane_offset=0.0)
+    ref = consts.gamma1 * 0.01 * (100.0 ** -2 + 200.0 ** -2)
+    assert v == pytest.approx(ref, rel=1e-14, abs=0)
+    # the lane offset enters the distance: ||x||^2 = x^2 + L^2
+    v = aggregate_interference(pos, consts, lane_offset=10.0)
+    ref = consts.gamma1 * 0.01 * (1.0 / (100.0 ** 2 + 100.0) + 1.0 / (200.0 ** 2 + 100.0))
+    assert v == pytest.approx(ref, rel=1e-14, abs=0)
+    assert aggregate_interference(np.empty(0), consts) == 0.0

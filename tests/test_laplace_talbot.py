@@ -40,20 +40,22 @@ def test_cf_bl_imaginary_axis_brute_product_oracle(bl_spec):
 def test_bernoulli_log_factor_matches_complex_log():
     # xi > 1/2 makes 1 - xi + xi cos(theta) negative, where atan2 must
     # follow the principal log; at xi = 1/2 the factor nearly vanishes
-    # near odd multiples of pi
+    # near odd multiples of pi.  Off the imaginary axis the site factor
+    # e^(-s a) carries the damping exp(-Re(s) a): below 1 for Re(s) > 0,
+    # above 1 for Re(s) < 0, where the Talbot contour runs
     theta = np.linspace(0.0, 1e4, 200_001)
+    a = np.linspace(0.0, 1.0, theta.size)
     for xi in (0.01, 0.1, 0.5, 0.9, 1.0):
         re, im = _bernoulli_log_factor(theta, xi)
         ref = np.log((1.0 - xi) + xi * np.exp(1j * theta))
         assert np.max(np.abs(re - ref.real)) <= 1e-13, xi
         assert np.max(np.abs(im - ref.imag)) <= 1e-13, xi
-
-
-def test_cf_bl_real_path_matches_complex_path(bl_spec):
-    # a real part of 1e-300 sends laplace_bl down the complex-arithmetic path
-    for w in (1e3, 1e5, 5e6):
-        assert complex(cf_bl(bl_spec, w)) == pytest.approx(
-            complex(laplace_bl(bl_spec, complex(1e-300, -w))), rel=1e-12, abs=0)
+        for sigma in (0.1, 1.0, 5.0, 30.0, -2.0):
+            damp = np.exp(-sigma * a)
+            re, im = _bernoulli_log_factor(theta, xi, damp)
+            ref = np.log((1.0 - xi) + xi * damp * np.exp(1j * theta))
+            assert np.max(np.abs(re - ref.real)) <= 1e-13, (xi, sigma)
+            assert np.max(np.abs(im - ref.imag)) <= 1e-13, (xi, sigma)
 
 
 def test_laplace_bl_basic_properties(bl_spec):
@@ -61,6 +63,10 @@ def test_laplace_bl_basic_properties(bl_spec):
     vals = [laplace_bl(bl_spec, s).real for s in (0.0, 100.0, 1e3, 1e4, 1e5)]
     assert all(a > b for a, b in zip(vals, vals[1:]))  # decreasing on s > 0
     assert all(0.0 < v <= 1.0 for v in vals)
+    # far left of the axis the transform overflows, which the Talbot
+    # contour reads as inf; on the real axis the overflowed damping meets
+    # sin(0) = 0, and the NaN that makes must read as inf too
+    assert laplace_bl(bl_spec, -1e8) == complex(np.inf, 0.0)
 
 
 def test_cf_bl_properties(bl_spec):
@@ -108,9 +114,9 @@ def test_talbot_detects_nondecaying_transform():
 
 def test_bl_inversion_strict_raises(bl_spec):
     # bounded support makes the transform entire, so the contour method
-    # cannot converge; strict mode surfaces that instead of falling back
+    # cannot converge; the contour alone surfaces that as ContourError
     with pytest.raises(ContourError):
-        cdf_bl_talbot(bl_spec, [1e-4, 2e-4], strict=True)
+        cdf_from_laplace_talbot(lambda s: laplace_bl(bl_spec, s), [1e-4, 2e-4])
 
 
 def test_bl_inversion_falls_back(bl_spec):
@@ -124,3 +130,6 @@ def test_bl_inversion_falls_back(bl_spec):
     assert curve.cdf[0] < 0.05
     assert curve.cdf[-1] > 0.95
     assert np.all(np.diff(curve.cdf) >= 0)
+    assert curve.tolerance == 1e-4
+    # the fallback works to the tolerance the caller asked for
+    assert cdf_bl_talbot(bl_spec, x, tolerance=2e-4).tolerance == 2e-4

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from radar_sg.model import (FadingModel, GeometryKind, Lane, MediumAccess,
-                            RadarParams, Scenario, db_to_linear, dbm_to_watts,
-                            derive)
+from radar_sg.model import (GeometryKind, Lane, MediumAccess, RadarParams,
+                            Scenario, db_to_linear, dbm_to_watts, derive)
 from conftest import make_radar, make_scenario
 
 
@@ -79,18 +78,6 @@ def test_scenario_needs_lanes():
 def test_derive_lane_index_bounds(default_scenario):
     with pytest.raises(IndexError):
         derive(default_scenario, 1)
-
-
-def test_custom_fading_mean_check():
-    # uniform on [0.5, 1.5]: mass 1, mean 1 -> accepted
-    fm = FadingModel.custom(
-        sampler=lambda rng, n: 0.5 + rng.random(n),
-        pdf=lambda g: 1.0, support=(0.5, 1.5))
-    assert fm.kind == "custom"
-    # uniform on [0, 1]: mean 0.5 -> rejected
-    with pytest.raises(ValueError):
-        FadingModel.custom(sampler=lambda rng, n: rng.random(n),
-                           pdf=lambda g: 1.0, support=(0.0, 1.0))
 
 
 def test_geometry_kind_values():

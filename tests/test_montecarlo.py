@@ -1,12 +1,15 @@
 """Embedded simulator: determinism, estimates, and goodness of fit."""
 
 import dataclasses
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from radar_sg import montecarlo
+from radar_sg.cli import parse_scenario
 from radar_sg.model import GeometryKind, Lane, MediumAccess, derive
 from radar_sg.montecarlo import (McConfig, mc_convergence_bl_to_ppp,
                                  mc_interference, mc_ranging_success)
@@ -34,6 +37,34 @@ def test_mc_interference_deterministic_and_prefix_stable(default_scenario):
     assert runs[0].mean.value == runs[1].mean.value
     # each replicate owns its substream, so a shorter run is a prefix
     assert runs[0].samples.tobytes() == runs[2].samples[:1000].tobytes()
+
+
+# seed-0 samples of table1.json at 1000 replicates, recorded once; the
+# code that draws them must reproduce them on any later revision
+_PINNED_SAMPLES = {
+    "ppp": ({0: 7.200689531488451e-05, 1: 9.00027695531298e-05,
+             2: 0.00029918935230509997, 10: 0.00015088021599337932,
+             500: 0.00013818962771406534, 999: 8.589236395234469e-05},
+            0.12693283460800162),
+    "bernoulli_lattice": ({0: 3.8433037489952565e-05, 1: 3.4457577265358194e-05,
+                           2: 9.423103094418816e-05, 10: 8.860974686923228e-05,
+                           500: 0.00018497920100075921, 999: 0.0001563660080296377},
+                          0.12631993245117498),
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(_PINNED_SAMPLES))
+def test_mc_samples_pinned_across_revisions(geometry):
+    # compared at rel 1e-12 rather than bit for bit, since another CPU's
+    # libm may round pow differently in the last place
+    doc = json.loads(resources.files("radar_sg.data").joinpath("table1.json").read_text())
+    doc["geometry"] = geometry
+    scenario = parse_scenario(json.dumps(doc))
+    samples = mc_interference(scenario, McConfig(replicates=1000, master_seed=0)).samples
+    picks, total = _PINNED_SAMPLES[geometry]
+    for i, value in picks.items():
+        assert samples[i] == pytest.approx(value, rel=1e-12, abs=0), i
+    assert float(samples.sum()) == pytest.approx(total, rel=1e-12, abs=0)
 
 
 def _refuse_to_sample(*args, **kwargs):
